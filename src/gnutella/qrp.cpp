@@ -1,5 +1,6 @@
 #include "gnutella/qrp.hpp"
 
+#include <bit>
 #include <cctype>
 #include <stdexcept>
 
@@ -31,7 +32,7 @@ QrpTable::QrpTable(unsigned log2_size) : log2_size_(log2_size) {
   if (log2_size == 0 || log2_size > 24) {
     throw std::invalid_argument("QrpTable: log2_size must be in [1, 24]");
   }
-  bits_.assign(std::size_t{1} << log2_size, false);
+  words_.assign((bit_count() + 63) / 64, 0);
 }
 
 std::uint32_t QrpTable::hash_keyword(std::string_view keyword, unsigned bits) {
@@ -54,8 +55,8 @@ std::uint32_t QrpTable::hash_keyword(std::string_view keyword, unsigned bits) {
 void QrpTable::insert_keyword(std::string_view keyword) {
   if (keyword.empty()) return;
   const std::uint32_t slot = hash_keyword(keyword, log2_size_);
-  if (!bits_[slot]) {
-    bits_[slot] = true;
+  if (!test(slot)) {
+    words_[slot / 64] |= std::uint64_t{1} << (slot % 64);
     ++set_count_;
   }
 }
@@ -69,31 +70,32 @@ bool QrpTable::might_match(std::string_view query) const {
   bool all = true;
   for_each_word(query, [&](std::string_view word) {
     any = true;
-    if (!bits_[hash_keyword(word, log2_size_)]) all = false;
+    if (!test(hash_keyword(word, log2_size_))) all = false;
   });
   return any && all;
 }
 
 void QrpTable::merge(const QrpTable& other) {
-  if (other.bits_.size() != bits_.size()) {
+  if (other.log2_size_ != log2_size_) {
     throw std::invalid_argument("QrpTable: size mismatch in merge");
   }
-  for (std::size_t i = 0; i < bits_.size(); ++i) {
-    if (other.bits_[i] && !bits_[i]) {
-      bits_[i] = true;
-      ++set_count_;
-    }
+  for (std::size_t w = 0; w < words_.size(); ++w) {
+    set_count_ += static_cast<std::size_t>(
+        std::popcount(other.words_[w] & ~words_[w]));
+    words_[w] |= other.words_[w];
   }
 }
 
 double QrpTable::fill_ratio() const {
-  return static_cast<double>(set_count_) / static_cast<double>(bits_.size());
+  return static_cast<double>(set_count_) / static_cast<double>(bit_count());
 }
 
 std::vector<std::uint8_t> QrpTable::to_patch() const {
-  std::vector<std::uint8_t> patch((bits_.size() + 7) / 8, 0);
-  for (std::size_t i = 0; i < bits_.size(); ++i) {
-    if (bits_[i]) patch[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
+  // Byte j holds bits 8j..8j+7, least significant first: byte j % 8 of
+  // word j / 8, counting from its low end.
+  std::vector<std::uint8_t> patch((bit_count() + 7) / 8, 0);
+  for (std::size_t j = 0; j < patch.size(); ++j) {
+    patch[j] = static_cast<std::uint8_t>(words_[j / 8] >> (8 * (j % 8)));
   }
   return patch;
 }
@@ -106,11 +108,11 @@ QrpTable QrpTable::from_patch(const std::vector<std::uint8_t>& patch) {
     throw std::invalid_argument("QrpTable: patch is not a power-of-two size");
   }
   QrpTable table(log2);
-  for (std::size_t i = 0; i < bit_count; ++i) {
-    if (patch[i / 8] & (1u << (i % 8))) {
-      table.bits_[i] = true;
-      ++table.set_count_;
-    }
+  for (std::size_t j = 0; j < patch.size(); ++j) {
+    table.words_[j / 8] |= std::uint64_t{patch[j]} << (8 * (j % 8));
+  }
+  for (const std::uint64_t word : table.words_) {
+    table.set_count_ += static_cast<std::size_t>(std::popcount(word));
   }
   return table;
 }

@@ -48,7 +48,7 @@ class QrpTable {
   /// Fraction of bits set (the spec caps useful fill around ~5 %).
   double fill_ratio() const;
 
-  std::size_t bit_count() const noexcept { return bits_.size(); }
+  std::size_t bit_count() const noexcept { return std::size_t{1} << log2_size_; }
   unsigned log2_size() const noexcept { return log2_size_; }
 
   /// Serializes to the patch payload (one bit per entry, packed); the
@@ -61,8 +61,12 @@ class QrpTable {
   static QrpTable from_patch(const std::vector<std::uint8_t>& patch);
 
  private:
+  bool test(std::size_t bit) const noexcept {
+    return (words_[bit / 64] >> (bit % 64)) & 1u;
+  }
+
   unsigned log2_size_;
-  std::vector<bool> bits_;
+  std::vector<std::uint64_t> words_;  // bit i is bit i % 64 of word i / 64
   std::size_t set_count_ = 0;
 };
 

@@ -9,8 +9,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 namespace p2pgen::sim {
@@ -41,6 +39,13 @@ constexpr long long day_index(SimTime t) noexcept {
 }
 
 /// Deterministic discrete-event scheduler.
+///
+/// Pending handlers live in a slab of slots recycled through a free list;
+/// the time order is a binary heap of small `{at, seq, slot}` keys.  An
+/// event id packs the slot with the event's scheduling sequence number,
+/// so cancel() is a generation check on the slot: a slot whose sequence
+/// no longer matches has fired or been cancelled, and a heap key whose
+/// sequence no longer matches its slot is skipped when popped.
 class Simulator {
  public:
   using Handler = std::function<void()>;
@@ -49,14 +54,15 @@ class Simulator {
   SimTime now() const noexcept { return now_; }
 
   /// Schedules `handler` to run at absolute time `at` (>= now()).
-  /// Returns an event id usable with cancel().
+  /// Returns a nonzero event id usable with cancel().
   std::uint64_t schedule_at(SimTime at, Handler handler);
 
   /// Schedules `handler` after `delay` seconds (>= 0).
   std::uint64_t schedule_after(SimTime delay, Handler handler);
 
-  /// Cancels a pending event.  Cancelling an already-fired or unknown id
-  /// is a no-op.  Returns true when an event was actually cancelled.
+  /// Cancels a pending event.  Cancelling an already-fired, already
+  /// cancelled or unknown id is a no-op.  Returns true when an event was
+  /// actually cancelled.
   bool cancel(std::uint64_t event_id);
 
   /// Runs events until the queue is empty or the next event is later than
@@ -67,31 +73,41 @@ class Simulator {
   void run();
 
   /// Number of pending (non-cancelled) events.
-  std::size_t pending() const noexcept { return queue_.size() - cancelled_count_; }
+  std::size_t pending() const noexcept { return pending_; }
 
   /// Total number of events executed so far.
   std::uint64_t executed() const noexcept { return executed_; }
 
  private:
-  struct Event {
+  struct Key {
     SimTime at;
-    std::uint64_t id;
-    Handler handler;
+    std::uint64_t seq;
+    std::uint32_t slot;
   };
+  static_assert(sizeof(Key) == 24);
+  struct Slot {
+    Handler handler;
+    std::uint64_t seq = 0;  // 0: free
+  };
+  /// Heap order: a key sorts after another if it fires later.
   struct Later {
-    bool operator()(const Event& a, const Event& b) const noexcept {
+    bool operator()(const Key& a, const Key& b) const noexcept {
       if (a.at != b.at) return a.at > b.at;
-      return a.id > b.id;
+      return a.seq > b.seq;
     }
   };
 
+  /// Releases a slot whose event fired or was cancelled, destroying
+  /// whatever handler it still holds.
+  void free_slot(std::uint32_t slot) noexcept;
+
   SimTime now_ = 0.0;
-  std::uint64_t next_id_ = 1;
+  std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  // Cancelled ids, lazily skipped when popped.
-  std::unordered_set<std::uint64_t> cancelled_;
-  std::size_t cancelled_count_ = 0;
+  std::size_t pending_ = 0;
+  std::vector<Key> heap_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
 };
 
 }  // namespace p2pgen::sim

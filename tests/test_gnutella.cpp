@@ -3,6 +3,11 @@
 // canonicalization.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <deque>
+#include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "gnutella/codec.hpp"
@@ -251,6 +256,120 @@ TEST(RoutingTable, SizeTracksLiveEntries) {
 
 TEST(RoutingTable, RejectsNonPositiveExpiry) {
   EXPECT_THROW(RoutingTable(0.0), std::invalid_argument);
+}
+
+TEST(RoutingTable, RejectsNanTime) {
+  RoutingTable table(600.0);
+  EXPECT_THROW(table.note_seen(Guid::zero(), 1, std::nan("")),
+               std::invalid_argument);
+}
+
+/// Oracle: the table as first written — an unordered_map of entries plus
+/// an insertion-order deque purged on every call.
+class DequeRoutingTable {
+ public:
+  explicit DequeRoutingTable(double expiry) : expiry_(expiry) {}
+
+  bool note_seen(const Guid& guid, PeerLink from, double now) {
+    purge(now);
+    const auto [it, inserted] = entries_.try_emplace(guid, Entry{from, now});
+    if (!inserted) return false;
+    order_.emplace_back(now, guid);
+    return true;
+  }
+  std::optional<PeerLink> reverse_route(const Guid& guid, double now) {
+    purge(now);
+    const auto it = entries_.find(guid);
+    if (it == entries_.end()) return std::nullopt;
+    return it->second.from;
+  }
+  std::size_t size(double now) {
+    purge(now);
+    return entries_.size();
+  }
+
+ private:
+  struct Entry {
+    PeerLink from = 0;
+    double seen_at = 0.0;
+  };
+  void purge(double now) {
+    while (!order_.empty() && order_.front().first + expiry_ <= now) {
+      const auto& [seen_at, guid] = order_.front();
+      const auto it = entries_.find(guid);
+      if (it != entries_.end() && it->second.seen_at == seen_at) {
+        entries_.erase(it);
+      }
+      order_.pop_front();
+    }
+  }
+
+  double expiry_;
+  std::unordered_map<Guid, Entry, GuidHash> entries_;
+  std::deque<std::pair<double, Guid>> order_;
+};
+
+/// Random note_seen / reverse_route / size streams against the oracle.
+/// A small GUID pool makes re-sightings (live and after expiry) common;
+/// pool members share their first 8 bytes in pairs, so equal table keys
+/// with different GUIDs are exercised; some steps land exactly on
+/// `seen_at + expiry` of an earlier sighting, some jump past two windows.
+void check_against_oracle(std::uint64_t seed, double expiry, double grid,
+                          std::size_t pool_size, int steps) {
+  stats::Rng rng(seed);
+  std::vector<Guid> pool;
+  for (std::size_t i = 0; i < pool_size; ++i) {
+    Guid g = Guid::generate(rng);
+    if (i % 2 == 1) std::memcpy(g.bytes.data(), pool.back().bytes.data(), 8);
+    pool.push_back(g);
+  }
+  RoutingTable table(expiry);
+  DequeRoutingTable oracle(expiry);
+  std::vector<double> sightings;
+  double now = rng.uniform(0.0, 100.0);
+  for (int step = 0; step < steps; ++step) {
+    const std::uint64_t move = rng.uniform_index(100);
+    if (move < 60) {
+      // Small steps; on a grid they hit boundaries exactly.
+      now += grid > 0.0 ? grid * static_cast<double>(rng.uniform_index(3))
+                        : rng.uniform(0.0, expiry / 1000.0);
+    } else if (move < 70 && !sightings.empty()) {
+      const double boundary =
+          sightings[rng.uniform_index(sightings.size())] + expiry;
+      if (boundary >= now) now = boundary;
+    } else if (move == 70) {
+      now += 2.5 * expiry;
+    }
+    const Guid& guid = rng.bernoulli(0.8)
+                           ? pool[rng.uniform_index(pool.size())]
+                           : Guid::generate(rng);
+    const std::uint64_t op = rng.uniform_index(10);
+    if (op < 5) {
+      const PeerLink from = rng.uniform_index(8);
+      const bool fresh = oracle.note_seen(guid, from, now);
+      ASSERT_EQ(table.note_seen(guid, from, now), fresh)
+          << "seed " << seed << " step " << step;
+      if (fresh) sightings.push_back(now);
+    } else if (op < 9) {
+      ASSERT_EQ(table.reverse_route(guid, now), oracle.reverse_route(guid, now))
+          << "seed " << seed << " step " << step;
+    } else {
+      ASSERT_EQ(table.size(now), oracle.size(now))
+          << "seed " << seed << " step " << step;
+    }
+  }
+}
+
+TEST(RoutingTable, MatchesDequeOracleOnGrid) {
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    check_against_oracle(seed, 10.0, 0.25, 64, 20000);
+  }
+}
+
+TEST(RoutingTable, MatchesDequeOracleOffGrid) {
+  for (std::uint64_t seed = 11; seed <= 15; ++seed) {
+    check_against_oracle(seed, 600.0, 0.0, 4000, 40000);
+  }
 }
 
 // -------------------------------------------------------------- handshake

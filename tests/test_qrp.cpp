@@ -3,9 +3,14 @@
 // (paper Section 3.1).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "behavior/trace_simulation.hpp"
 #include "gnutella/codec.hpp"
 #include "gnutella/qrp.hpp"
+#include "stats/rng.hpp"
 
 namespace p2pgen::gnutella {
 namespace {
@@ -75,6 +80,79 @@ TEST(QrpTable, PatchRoundTrip) {
   EXPECT_TRUE(restored.might_match("shared keywords"));
   EXPECT_THROW(QrpTable::from_patch(std::vector<std::uint8_t>(3)),
                std::invalid_argument);
+}
+
+/// Patch bytes of a table holding exactly `bits`, in the wire layout:
+/// bit i is bit i % 8 of byte i / 8.
+std::vector<std::uint8_t> reference_patch(const std::vector<bool>& bits) {
+  std::vector<std::uint8_t> patch((bits.size() + 7) / 8, 0);
+  for (std::size_t i = 0; i < bits.size(); ++i) {
+    if (bits[i]) patch[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
+  }
+  return patch;
+}
+
+/// A table of random keywords and the bit set they must produce.
+std::pair<QrpTable, std::vector<bool>> random_table(stats::Rng& rng,
+                                                    unsigned log2) {
+  QrpTable table(log2);
+  std::vector<bool> bits(std::size_t{1} << log2, false);
+  const std::uint64_t words = rng.uniform_index(3 * bits.size() / 4 + 2);
+  for (std::uint64_t w = 0; w < words; ++w) {
+    const std::string word = std::to_string(rng.next_u64() % 1000000);
+    table.insert_keyword(word);
+    bits[QrpTable::hash_keyword(word, log2)] = true;
+  }
+  return {std::move(table), std::move(bits)};
+}
+
+double ones_fraction(const std::vector<bool>& bits) {
+  std::size_t ones = 0;
+  for (const bool b : bits) ones += b ? 1 : 0;
+  return static_cast<double>(ones) / static_cast<double>(bits.size());
+}
+
+TEST(QrpTable, PatchBytesMatchBitLayoutOnRandomTables) {
+  stats::Rng rng(404);
+  for (const unsigned log2 : {1u, 3u, 5u, 6u, 7u, 9u, 12u, 16u}) {
+    for (int round = 0; round < 6; ++round) {
+      auto [table, bits] = random_table(rng, log2);
+      const auto patch = table.to_patch();
+      ASSERT_EQ(patch, reference_patch(bits)) << "log2 " << log2;
+      EXPECT_EQ(table.fill_ratio(), ones_fraction(bits));
+
+      if (log2 >= 3) {
+        const QrpTable restored = QrpTable::from_patch(patch);
+        EXPECT_EQ(restored.log2_size(), log2);
+        EXPECT_EQ(restored.to_patch(), patch);
+        EXPECT_EQ(restored.fill_ratio(), table.fill_ratio());
+      }
+
+      auto [other, other_bits] = random_table(rng, log2);
+      std::vector<bool> both(bits.size());
+      for (std::size_t i = 0; i < bits.size(); ++i) both[i] = bits[i] || other_bits[i];
+      table.merge(other);
+      EXPECT_EQ(table.to_patch(), reference_patch(both)) << "log2 " << log2;
+      EXPECT_EQ(table.fill_ratio(), ones_fraction(both));
+    }
+  }
+}
+
+TEST(QrpTable, ArbitraryPatchBytesRoundTrip) {
+  stats::Rng rng(405);
+  for (const std::size_t bytes : {1u, 2u, 8u, 64u, 8192u}) {
+    std::vector<std::uint8_t> patch(bytes);
+    std::size_t ones = 0;
+    for (auto& b : patch) {
+      b = static_cast<std::uint8_t>(rng.next_u64());
+      for (int k = 0; k < 8; ++k) ones += (b >> k) & 1u;
+    }
+    const QrpTable table = QrpTable::from_patch(patch);
+    EXPECT_EQ(table.bit_count(), bytes * 8);
+    EXPECT_EQ(table.to_patch(), patch);
+    EXPECT_EQ(table.fill_ratio(),
+              static_cast<double>(ones) / static_cast<double>(bytes * 8));
+  }
 }
 
 TEST(QrpTable, RejectsBadSize) {

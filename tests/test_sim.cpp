@@ -1,10 +1,16 @@
 // Tests for the discrete-event kernel and the overlay transport.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
+#include <limits>
+#include <map>
+#include <tuple>
 #include <vector>
 
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
+#include "stats/rng.hpp"
 
 namespace p2pgen::sim {
 namespace {
@@ -56,6 +62,34 @@ TEST(Simulator, CancelPreventsExecution) {
   EXPECT_EQ(fired, 1);
 }
 
+TEST(Simulator, CancelAfterFireIsNoop) {
+  Simulator sim;
+  int fired = 0;
+  const auto id = sim.schedule_at(1.0, [&] { ++fired; });
+  sim.run();
+  EXPECT_FALSE(sim.cancel(id));
+  EXPECT_EQ(sim.pending(), 0u);
+  // The next event may reuse the fired event's storage; the stale id must
+  // not reach it.
+  sim.schedule_at(2.0, [&] { ++fired; });
+  EXPECT_FALSE(sim.cancel(id));
+  EXPECT_EQ(sim.pending(), 1u);
+  sim.run();
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(Simulator, CancelOwnEventFromItsHandlerIsNoop) {
+  Simulator sim;
+  std::uint64_t self = 0;
+  bool cancelled = true;
+  self = sim.schedule_at(1.0, [&] { cancelled = sim.cancel(self); });
+  sim.run();
+  EXPECT_FALSE(cancelled);
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(sim.executed(), 1u);
+}
+
 TEST(Simulator, RejectsPastSchedulingAndNullHandlers) {
   Simulator sim;
   sim.schedule_at(5.0, [] {});
@@ -63,6 +97,111 @@ TEST(Simulator, RejectsPastSchedulingAndNullHandlers) {
   EXPECT_THROW(sim.schedule_at(1.0, [] {}), std::invalid_argument);
   EXPECT_THROW(sim.schedule_after(-1.0, [] {}), std::invalid_argument);
   EXPECT_THROW(sim.schedule_after(1.0, nullptr), std::invalid_argument);
+}
+
+// ------------------------------------------------- kernel differential test
+
+/// Reference kernel: a multimap in (time, insertion) order — equal keys
+/// keep insertion order, which is id order — plus an id -> entry index.
+class ReferenceKernel {
+ public:
+  SimTime now() const { return now_; }
+  std::uint64_t schedule_at(SimTime at, std::function<void()> handler) {
+    const std::uint64_t id = next_id_++;
+    index_[id] = events_.emplace(at, std::make_pair(id, std::move(handler)));
+    return id;
+  }
+  bool cancel(std::uint64_t id) {
+    const auto it = index_.find(id);
+    if (it == index_.end()) return false;
+    events_.erase(it->second);
+    index_.erase(it);
+    return true;
+  }
+  void run_until(SimTime until) {
+    while (!events_.empty() && events_.begin()->first <= until) {
+      auto node = events_.extract(events_.begin());
+      index_.erase(node.mapped().first);
+      now_ = node.key();
+      ++executed_;
+      node.mapped().second();
+    }
+    if (until > now_ && std::isfinite(until)) now_ = until;
+  }
+  std::size_t pending() const { return events_.size(); }
+  std::uint64_t executed() const { return executed_; }
+
+ private:
+  using Events =
+      std::multimap<SimTime, std::pair<std::uint64_t, std::function<void()>>>;
+  SimTime now_ = 0.0;
+  std::uint64_t next_id_ = 1;
+  std::uint64_t executed_ = 0;
+  Events events_;
+  std::map<std::uint64_t, Events::iterator> index_;
+};
+
+/// One observation: what happened (0 fire, 1 cancel, 2 step), its subject
+/// (label or cancel result), and the kernel's now / pending / executed.
+using Observation = std::tuple<int, std::uint64_t, SimTime, std::size_t, std::uint64_t>;
+
+/// Drives a kernel through a seeded random interleaving of schedule,
+/// cancel and run_until, with handlers that schedule and cancel too.
+/// Times sit on a 0.5 s grid so equal timestamps are common; cancels pick
+/// any id issued so far, so they hit pending, fired, cancelled and
+/// currently-running events alike.
+template <typename Kernel>
+std::vector<Observation> drive(std::uint64_t seed) {
+  Kernel kernel;
+  stats::Rng rng(seed);
+  std::vector<std::uint64_t> ids;  // by label, in scheduling order
+  std::vector<Observation> log;
+  auto observe = [&](int what, std::uint64_t subject) {
+    log.emplace_back(what, subject, kernel.now(), kernel.pending(),
+                     kernel.executed());
+  };
+  auto delay = [&] { return 0.5 * static_cast<double>(rng.uniform_index(4)); };
+  auto cancel_any = [&] {
+    if (ids.empty()) return;
+    observe(1, kernel.cancel(ids[rng.uniform_index(ids.size())]) ? 1 : 0);
+  };
+  std::function<void(SimTime)> schedule = [&](SimTime at) {
+    const std::uint64_t label = ids.size();
+    ids.push_back(0);
+    ids[label] = kernel.schedule_at(at, [&, label] {
+      observe(0, label);
+      if (rng.bernoulli(0.45)) schedule(kernel.now() + delay());
+      if (rng.bernoulli(0.3)) cancel_any();
+    });
+  };
+  for (int step = 0; step < 3000; ++step) {
+    const std::uint64_t op = rng.uniform_index(20);
+    if (op < 9) {
+      schedule(kernel.now() + delay());
+    } else if (op < 14) {
+      cancel_any();
+    } else if (op == 14) {
+      observe(1, kernel.cancel(0) ? 1 : 0);  // never a valid id
+    } else {
+      kernel.run_until(kernel.now() + delay());
+    }
+    observe(2, static_cast<std::uint64_t>(step));
+  }
+  kernel.run_until(std::numeric_limits<SimTime>::infinity());
+  observe(2, 0);
+  return log;
+}
+
+TEST(Simulator, MatchesMultimapReferenceOnRandomInterleavings) {
+  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
+    const auto expected = drive<ReferenceKernel>(seed);
+    const auto actual = drive<Simulator>(seed);
+    ASSERT_EQ(actual.size(), expected.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      ASSERT_EQ(actual[i], expected[i]) << "seed " << seed << " step " << i;
+    }
+    EXPECT_GT(std::get<4>(expected.back()), 1000u) << "seed " << seed;
+  }
 }
 
 TEST(TimeHelpers, DayAndHourArithmetic) {
