@@ -166,6 +166,18 @@ TEST(Checkpoint, RunIdentityDigestSeparatesConfigs) {
 }
 
 #if defined(__unix__)
+TEST(Checkpoint, ConfigAndIdentityDigestsArePinned) {
+  // Literal values: the durable-run identity keys every checkpoint and
+  // bench cache on disk, so a hash refactor must leave it unchanged.
+  EXPECT_EQ(behavior::simulation_config_digest(behavior::TraceSimulationConfig{}),
+            0x3f15df282c4d4ddbULL);
+  EXPECT_EQ(behavior::run_identity_digest(core::WorkloadModel::paper_default(),
+                                          behavior::TraceSimulationConfig{}, 4),
+            0xd5ccf4628932f69aULL);
+  EXPECT_EQ(sim::fault_config_digest(sim::FaultConfig{}), 0x898f07d6f6d89c5bULL);
+  EXPECT_EQ(sim::fault_config_digest(tiny_fault_config().faults), 0x0dc853200b181216ULL);
+}
+
 TEST(Checkpoint, SigkillAtRandomizedPointsThenResumeIsByteIdentical) {
   const auto model = core::WorkloadModel::paper_default();
   const auto config = tiny_fault_config();

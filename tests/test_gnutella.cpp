@@ -41,6 +41,17 @@ TEST(Guid, HashDistinguishes) {
   EXPECT_EQ(h(a), h(a));
 }
 
+TEST(Guid, HashIsPinned) {
+  // GuidHash values land in every trace (MessageEvent::guid_hash) and key
+  // the qtrace sampler, so they are pinned to literals.
+  Guid g;
+  for (std::size_t i = 0; i < g.bytes.size(); ++i) {
+    g.bytes[i] = static_cast<std::uint8_t>(17 * i + 3);
+  }
+  EXPECT_EQ(GuidHash{}(g), 0xd7e4646f135b4d13ULL);
+  EXPECT_EQ(GuidHash{}(Guid::zero()), 0xa31e272015f12c43ULL);
+}
+
 TEST(Message, TypeMatchesPayload) {
   auto rng = test_rng();
   EXPECT_EQ(make_ping(rng).type(), MessageType::kPing);

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
@@ -21,6 +22,7 @@
 #include "behavior/checkpoint.hpp"
 #include "behavior/sharded_simulation.hpp"
 #include "obs/metrics.hpp"
+#include "trace/spool.hpp"
 #include "trace/trace_io.hpp"
 
 namespace p2pgen {
@@ -201,6 +203,71 @@ TEST(QtraceSidecar, ChecksumTrailerDetectsSingleBitFlips) {
   ASSERT_FALSE(ec);
   EXPECT_THROW(obs::load_qtrace(path, out), std::runtime_error);
   std::filesystem::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
+// Golden pins: literal values, so a refactor of the codec, the hash or the
+// sampler cannot drift silently (the tests above only compare values
+// against each other).
+
+std::uint64_t file_fnv(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  return trace::fnv1a_update(trace::kFnvOffsetBasis, bytes.data(),
+                             bytes.size());
+}
+
+std::vector<obs::QueryHopEvent> golden_hops() {
+  std::vector<obs::QueryHopEvent> events(3);
+  events[0].time = 0.125;
+  events[0].query = 0x0123456789abcdefULL;
+  events[0].hop = obs::QueryHop::kQueryEmitted;
+  events[0].ttl = 7;
+  events[1].time = 2.5;
+  events[1].query = 0xfedcba9876543210ULL;
+  events[1].shard = 1;
+  events[1].hop = obs::QueryHop::kForwarded;
+  events[1].ttl = 6;
+  events[1].hops = 1;
+  events[2].time = 3600.75;
+  events[2].query = 0x0123456789abcdefULL;
+  events[2].shard = 2;
+  events[2].hop = obs::QueryHop::kHitReturned;
+  events[2].ttl = 3;
+  events[2].hops = 4;
+  events[2].value = 1.5;
+  return events;
+}
+
+TEST(QtraceGolden, DigestAndSidecarBytesArePinned) {
+  const auto events = golden_hops();
+  EXPECT_EQ(obs::qtrace_digest(events), 0xe3cb06f4feab24a8ULL);
+  EXPECT_EQ(obs::qtrace_digest({}), 0xcbf29ce484222325ULL);
+
+  const std::string dir = ::testing::TempDir() + "/p2pgen_qtrace_golden";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = obs::qtrace_sidecar_path(dir);
+  obs::save_qtrace(path, events);
+  // magic + version + count, 32-byte records, CRC32 trailer.
+  EXPECT_EQ(std::filesystem::file_size(path), 16u + 3u * 32u + 4u);
+  EXPECT_EQ(file_fnv(path), 0x4655f8512b9b7d71ULL);
+  obs::save_qtrace(path, {});
+  EXPECT_EQ(file_fnv(path), 0xc1e92d195df8f60eULL);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(QtraceGolden, SampledSetIsPinned) {
+  int sampled_01 = 0;
+  int sampled_25 = 0;
+  for (std::uint64_t q = 1; q <= 20000; ++q) {
+    sampled_01 += obs::qtrace_sampled(q, 0.01) ? 1 : 0;
+    sampled_25 += obs::qtrace_sampled(q, 0.25) ? 1 : 0;
+  }
+  EXPECT_EQ(sampled_01, 201);
+  EXPECT_EQ(sampled_25, 4995);
+  EXPECT_TRUE(obs::qtrace_sampled(0x0123456789abcdefULL, 0.5));
 }
 
 // ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <tuple>
@@ -125,6 +126,20 @@ TEST(Spool, RoundTripsAcrossSegmentRolls) {
   EXPECT_EQ(report.records_truncated, 0u);
   EXPECT_EQ(report.records_recovered, original.size());
   EXPECT_EQ(serialize(loaded), serialize(original));
+}
+
+TEST(Spool, SegmentBytesArePinned) {
+  // Literal FNV-1a of the one segment file a small spool writes: pins the
+  // frame layout and the CRC32 of every frame against a hash refactor.
+  const std::string dir = temp_spool_dir("golden");
+  spool_trace(make_trace(4, 7), dir);
+  std::ifstream in(last_segment(dir), std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  EXPECT_EQ(trace::fnv1a_update(trace::kFnvOffsetBasis, bytes.data(),
+                                bytes.size()),
+            0x7b9e08819f7d64b4ULL);
+  fs::remove_all(dir);
 }
 
 TEST(Spool, WriterResumesAfterCleanClose) {

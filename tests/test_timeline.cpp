@@ -12,6 +12,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -22,6 +23,7 @@
 #include "behavior/checkpoint.hpp"
 #include "behavior/sharded_simulation.hpp"
 #include "obs/metrics.hpp"
+#include "trace/spool.hpp"
 #include "trace/trace_io.hpp"
 
 namespace p2pgen {
@@ -204,6 +206,47 @@ TEST(TimelineSidecar, ChecksumTrailerDetectsSingleBitFlips) {
   std::filesystem::resize_file(path, size - 2, ec);
   ASSERT_FALSE(ec);
   EXPECT_THROW(obs::load_timeline(path, out), std::runtime_error);
+  std::filesystem::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
+// Golden pins: literal values, so a refactor of the codec or the hash
+// cannot drift silently (the tests above only compare values against each
+// other).
+
+std::uint64_t file_fnv(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  return trace::fnv1a_update(trace::kFnvOffsetBasis, bytes.data(),
+                             bytes.size());
+}
+
+TEST(TimelineGolden, DigestAndSidecarBytesArePinned) {
+  std::vector<obs::TimelinePoint> points(2);
+  points[0].time = 600.0;
+  for (std::size_t s = 0; s < obs::kTimelineSeriesCount; ++s) {
+    points[0].values[s] = 3 * s + 1;
+  }
+  points[1].time = 1200.0;
+  points[1].shard = 2;
+  points[1].values[idx(TimelineSeries::kQueries)] = 42;
+  points[1].values[idx(TimelineSeries::kActiveSessions)] = 7;
+  points[1].values[idx(TimelineSeries::kQueriesOther)] = 0xffffffffffULL;
+  EXPECT_EQ(obs::timeline_digest(points), 0xcf3700d1aae6f75fULL);
+  EXPECT_EQ(obs::timeline_digest({}), 0xcbf29ce484222325ULL);
+
+  const std::string dir = ::testing::TempDir() + "/p2pgen_timeline_golden";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = obs::timeline_sidecar_path(dir);
+  obs::save_timeline(path, points, 600.0);
+  // 32-byte header, (16 + 8 * series)-byte records, CRC32 trailer.
+  EXPECT_EQ(std::filesystem::file_size(path),
+            32u + 2u * (16u + 8u * obs::kTimelineSeriesCount) + 4u);
+  EXPECT_EQ(file_fnv(path), 0xe431bd31cb55914dULL);
+  obs::save_timeline(path, {}, 60.0);
+  EXPECT_EQ(file_fnv(path), 0xa452b80b885ec1d0ULL);
   std::filesystem::remove_all(dir);
 }
 
