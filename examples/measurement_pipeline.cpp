@@ -118,6 +118,7 @@
 #include "obs/metrics.hpp"
 #include "obs/process.hpp"
 #include "obs/qtrace.hpp"
+#include "obs/sidecars.hpp"
 #include "obs/span.hpp"
 #include "obs/timeline.hpp"
 #include "scenario/curated.hpp"
@@ -156,30 +157,6 @@ void write_timeline_csv(std::ostream& out,
     for (std::uint64_t value : point.values) out << ',' << value;
     out << '\n';
   }
-}
-
-// Same shape as the PipelineReport "timeline" block, standalone.
-void write_timeline_json(std::ostream& out,
-                         const std::vector<p2pgen::obs::TimelinePoint>& points,
-                         double tick_seconds) {
-  using namespace p2pgen;
-  char num[64];
-  std::snprintf(num, sizeof(num), "%.9f", tick_seconds);
-  out << "{\n  \"tick_seconds\": " << num << ",\n  \"series\": [";
-  for (std::size_t s = 0; s < obs::kTimelineSeriesCount; ++s) {
-    out << (s == 0 ? "" : ", ") << '"'
-        << obs::timeline_series_name(static_cast<obs::TimelineSeries>(s))
-        << '"';
-  }
-  out << "],\n  \"points\": [";
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const obs::TimelinePoint& point = points[i];
-    std::snprintf(num, sizeof(num), "%.9f", point.time);
-    out << (i == 0 ? "\n    [" : ",\n    [") << num << ", " << point.shard;
-    for (std::uint64_t value : point.values) out << ", " << value;
-    out << "]";
-  }
-  out << (points.empty() ? "]\n}\n" : "\n  ]\n}\n");
 }
 
 }  // namespace
@@ -435,21 +412,15 @@ int main(int argc, char** argv) {
     // The sharded path publishes per-shard; the single-vantage-point
     // path owns its one simulation and publishes it here.
     simulation->publish_metrics();
-    if (config.qtrace.sample_rate > 0.0) {
-      // One shard's buffer still goes through the merge so the stream
-      // carries the same (time, shard) ordering guarantees as n > 1.
-      std::vector<std::vector<obs::QueryHopEvent>> buffers;
-      buffers.push_back(simulation->take_qtrace());
-      qtrace = obs::merge_qtrace(std::move(buffers));
-      obs::publish_qtrace_metrics(qtrace);
-    }
-    if (config.timeline.tick_seconds > 0.0) {
-      // Same single-buffer merge for the timeline ticks.
-      std::vector<std::vector<obs::TimelinePoint>> buffers;
-      buffers.push_back(simulation->take_timeline());
-      timeline = obs::merge_timeline(std::move(buffers));
-      obs::publish_timeline_metrics(timeline);
-    }
+    // One shard's streams still go through the merge so they carry the
+    // same (time, shard) ordering guarantees as n > 1.
+    std::vector<obs::ObserverStreams> one(1);
+    one[0].qtrace = simulation->take_qtrace();
+    one[0].timeline = simulation->take_timeline();
+    obs::ObserverStreams merged = obs::merge_and_publish(
+        obs::SidecarSet(config.qtrace, config.timeline), std::move(one));
+    qtrace = std::move(merged.qtrace);
+    timeline = std::move(merged.timeline);
   }
 
   const auto stats = streaming ? streaming->stats : trace.stats();
@@ -654,17 +625,19 @@ int main(int argc, char** argv) {
       !query_trace_dir.empty() || !timeline_dir.empty()) {
     std::cout << "\n== 6. pipeline health report ==\n";
   }
+  // Writes one dump file, throwing if any byte failed to land.
+  const auto write_dump = [](const std::string& path, const auto& write) {
+    std::ofstream out(path);
+    write(out);
+    if (!out) throw std::runtime_error("failed writing " + path);
+  };
   if (!query_trace_dir.empty()) {
     try {
       std::filesystem::create_directories(query_trace_dir);
-      const std::string bin_path = query_trace_dir + "/qtrace.bin";
-      obs::save_qtrace(bin_path, qtrace);
-      const std::string json_path = query_trace_dir + "/qtrace.json";
-      std::ofstream json_out(json_path);
-      obs::write_qtrace_json(json_out, qtrace);
-      if (!json_out) {
-        throw std::runtime_error("failed writing " + json_path);
-      }
+      obs::save_qtrace(query_trace_dir + "/qtrace.bin", qtrace);
+      write_dump(query_trace_dir + "/qtrace.json", [&](std::ostream& out) {
+        obs::write_qtrace_json(out, qtrace);
+      });
     } catch (const std::exception& e) {
       std::cerr << "measurement_pipeline: --query-trace: " << e.what() << "\n";
       return 1;
@@ -675,14 +648,15 @@ int main(int argc, char** argv) {
   if (!timeline_dir.empty()) {
     try {
       std::filesystem::create_directories(timeline_dir);
-      const std::string csv_path = timeline_dir + "/timeline.csv";
-      std::ofstream csv_out(csv_path);
-      write_timeline_csv(csv_out, timeline, timeline_tick_effective);
-      if (!csv_out) throw std::runtime_error("failed writing " + csv_path);
-      const std::string json_path = timeline_dir + "/timeline.json";
-      std::ofstream json_out(json_path);
-      write_timeline_json(json_out, timeline, timeline_tick_effective);
-      if (!json_out) throw std::runtime_error("failed writing " + json_path);
+      write_dump(timeline_dir + "/timeline.csv", [&](std::ostream& out) {
+        write_timeline_csv(out, timeline, timeline_tick_effective);
+      });
+      write_dump(timeline_dir + "/timeline.json", [&](std::ostream& out) {
+        out << "{\n";
+        obs::write_timeline_json_members(out, timeline,
+                                         timeline_tick_effective, "  ");
+        out << "}\n";
+      });
     } catch (const std::exception& e) {
       std::cerr << "measurement_pipeline: --timeline: " << e.what() << "\n";
       return 1;

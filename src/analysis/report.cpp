@@ -349,22 +349,8 @@ void PipelineReport::write_json(std::ostream& out) const {
   }
   out << (salvage.ranges.empty() ? "]\n" : "\n    ]\n");
   out << "  },\n  \"timeline\": {\n";
-  std::snprintf(num, sizeof(num), "%.9f", timeline_tick_seconds);
-  out << "    \"tick_seconds\": " << num << ",\n    \"series\": [";
-  for (std::size_t s = 0; s < obs::kTimelineSeriesCount; ++s) {
-    out << (s == 0 ? "" : ", ") << '"'
-        << obs::timeline_series_name(static_cast<obs::TimelineSeries>(s))
-        << '"';
-  }
-  out << "],\n    \"points\": [";
-  for (std::size_t i = 0; i < timeline.size(); ++i) {
-    const obs::TimelinePoint& point = timeline[i];
-    std::snprintf(num, sizeof(num), "%.9f", point.time);
-    out << (i == 0 ? "\n      [" : ",\n      [") << num << ", " << point.shard;
-    for (std::uint64_t value : point.values) out << ", " << value;
-    out << "]";
-  }
-  out << (timeline.empty() ? "]\n" : "\n    ]\n");
+  obs::write_timeline_json_members(out, timeline, timeline_tick_seconds,
+                                   "    ");
   out << "  },\n  \"metrics\": ";
   metrics.write_json(out);
   out << "\n}\n";

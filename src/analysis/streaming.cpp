@@ -13,6 +13,7 @@
 #include "analysis/gaps.hpp"
 #include "gnutella/message.hpp"
 #include "obs/metrics.hpp"
+#include "obs/sidecars.hpp"
 #include "obs/span.hpp"
 #include "trace/spool.hpp"
 #include "trace/spool_reader.hpp"
@@ -430,18 +431,6 @@ class StreamingPass {
     passive_.add_session(session);
     accumulate_session_measures(measures_, session);
     tables_.add_session(session);
-
-    if (!session.removed) {
-      const double duration = session.duration();
-      duration_moments_.add(duration);
-      duration_sketch_.add(duration);
-      const ObservedQuery* prev = nullptr;
-      for (const auto& query : session.queries) {
-        if (!query.kept() || query.excluded_from_interarrival) continue;
-        if (prev != nullptr) interarrival_sketch_.add(query.time - prev->time);
-        prev = &query;
-      }
-    }
   }
 
   // ---- EOF / result assembly -------------------------------------------
@@ -494,54 +483,16 @@ class StreamingPass {
     }
     stats_out_.events = events_;
     result.streaming = stats_out_;
-    result.duration_moments = duration_moments_;
-    result.duration_sketch = duration_sketch_;
-    result.interarrival_sketch = interarrival_sketch_;
 
-    // Query-lifecycle sidecars (DESIGN.md §12): the durable producer
-    // wrote one "qtrace.bin" per shard when tracing was on.  Reading
-    // them back and merging in the same (time, shard) order reproduces
-    // the materialized path's merged stream — and therefore the exact
-    // same published aggregates.  Publish only when at least one sidecar
-    // exists, mirroring the materialized rule (publish iff rate > 0), so
-    // both paths expose the identical metric surface.
-    {
-      std::vector<std::vector<obs::QueryHopEvent>> per_shard(
-          shard_dirs_.size());
-      bool any_sidecar = false;
-      for (std::size_t k = 0; k < shard_dirs_.size(); ++k) {
-        if (obs::load_qtrace(obs::qtrace_sidecar_path(shard_dirs_[k]),
-                             per_shard[k])) {
-          any_sidecar = true;
-        }
-      }
-      if (any_sidecar) {
-        result.qtrace = obs::merge_qtrace(std::move(per_shard));
-        obs::publish_qtrace_metrics(result.qtrace);
-      }
-    }
-
-    // Timeline sidecars (DESIGN.md §13): identical replay contract for
-    // "timeline.bin" — merge in (time, shard) order, publish iff at
-    // least one sidecar exists, so the streaming run's timeline and its
-    // published aggregates are byte-identical to the materialized path.
-    {
-      std::vector<std::vector<obs::TimelinePoint>> per_shard(
-          shard_dirs_.size());
-      bool any_sidecar = false;
-      double tick_seconds = 0.0;
-      for (std::size_t k = 0; k < shard_dirs_.size(); ++k) {
-        if (obs::load_timeline(obs::timeline_sidecar_path(shard_dirs_[k]),
-                               per_shard[k], &tick_seconds)) {
-          any_sidecar = true;
-        }
-      }
-      if (any_sidecar) {
-        result.timeline = obs::merge_timeline(std::move(per_shard));
-        result.timeline_tick_seconds = tick_seconds;
-        obs::publish_timeline_metrics(result.timeline);
-      }
-    }
+    // Observer sidecars (DESIGN.md §12/§13): the durable producer wrote
+    // one "qtrace.bin" / "timeline.bin" per shard for each stream that
+    // was on.  Reading them back and merging in the same (time, shard)
+    // order reproduces the materialized path's merged streams, and so the
+    // exact same published aggregates.
+    obs::ObserverStreams observed =
+        obs::read_sidecars(shard_dirs_, &result.timeline_tick_seconds);
+    result.qtrace = std::move(observed.qtrace);
+    result.timeline = std::move(observed.timeline);
 
     // Merge the per-shard gap reports in shard order (deterministic at
     // any thread count) and publish — publish_salvage_metrics is a no-op
@@ -582,7 +533,7 @@ class StreamingPass {
   const geo::GeoIpDatabase& geodb_;
   const StreamingOptions& options_;
   util::ThreadPool pool_;
-  std::vector<std::string> shard_dirs_;  ///< for the qtrace sidecars
+  std::vector<std::string> shard_dirs_;  ///< for the observer sidecars
   std::vector<ShardCursor> cursors_;
 
   // Merge + digest state.
@@ -608,9 +559,6 @@ class StreamingPass {
   PassiveAccumulator passive_;
   SessionMeasures measures_;
   DailyQueryTables tables_;
-  StreamingMoments duration_moments_;
-  LogQuantileSketch duration_sketch_;
-  LogQuantileSketch interarrival_sketch_;
   StreamingStats stats_out_;
 
   // Salvage censoring state (all inert unless options_.salvage).

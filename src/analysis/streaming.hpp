@@ -37,7 +37,6 @@
 #include "analysis/measures.hpp"
 #include "analysis/model_fit.hpp"
 #include "analysis/popularity_analysis.hpp"
-#include "analysis/sketch.hpp"
 #include "core/model.hpp"
 #include "geo/geoip.hpp"
 #include "obs/qtrace.hpp"
@@ -94,7 +93,7 @@ struct StreamingStats {
 
 /// Everything the measurement pipeline derives from a trace, computed in
 /// one streaming pass.  Fields mirror the materialized path's outputs
-/// bit-for-bit; `streaming`, the moments and the sketches are extra.
+/// bit-for-bit; `streaming` is extra.
 struct StreamingResult {
   trace::TraceStats stats;         ///< == merged Trace::stats()
   std::uint64_t trace_digest = 0;  ///< == trace::binary_digest(merged)
@@ -114,11 +113,6 @@ struct StreamingResult {
   core::WorkloadModel model;   ///< == fit_workload_model(dataset, fallback)
 
   StreamingStats streaming;
-  /// Constant-memory extras: duration moments/quantiles of surviving
-  /// sessions and an interarrival sketch (counted queries).
-  StreamingMoments duration_moments;
-  LogQuantileSketch duration_sketch;
-  LogQuantileSketch interarrival_sketch;
 
   /// Merged query-lifecycle hop events, read back from the per-shard
   /// "qtrace.bin" sidecars the durable runner writes (empty when no

@@ -14,22 +14,17 @@
 #include <sstream>
 #include <stdexcept>
 #include <thread>
-#include <type_traits>
 
 #include "core/model_io.hpp"
 #include "obs/metrics.hpp"
 #include "obs/process.hpp"
-#include "obs/qtrace.hpp"
+#include "obs/sidecars.hpp"
 #include "obs/span.hpp"
-#include "obs/timeline.hpp"
 #include "sim/simulator.hpp"
 #include "trace/trace_io.hpp"
+#include "util/durable_file.hpp"
+#include "util/fnv.hpp"
 #include "util/thread_pool.hpp"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
-#include <unistd.h>
-#endif
 
 namespace p2pgen::behavior {
 namespace {
@@ -39,39 +34,15 @@ namespace fs = std::filesystem;
 constexpr const char* kManifestName = "MANIFEST";
 constexpr const char* kManifestHeader = "p2pgen-checkpoint v1";
 
-template <typename T>
-std::uint64_t hash_pod(std::uint64_t digest, const T& value) noexcept {
-  static_assert(std::is_trivially_copyable_v<T>);
-  return trace::fnv1a_update(digest, &value, sizeof(value));
-}
-
-std::uint64_t hash_string(std::uint64_t digest, const std::string& s) noexcept {
-  digest = hash_pod(digest, static_cast<std::uint64_t>(s.size()));
-  return trace::fnv1a_update(digest, s.data(), s.size());
-}
-
 std::string shard_dir(const std::string& base, unsigned shard_index) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "shard-%04u", shard_index);
   return (fs::path(base) / buf).string();
 }
 
-void fsync_path(const std::string& path, bool directory) {
-#if defined(__unix__) || defined(__APPLE__)
-  const int fd = ::open(path.c_str(), directory ? O_RDONLY : O_WRONLY);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
-#else
-  (void)path;
-  (void)directory;
-#endif
-}
-
 /// Durable-manifest state: the run identity plus which shards finished.
-/// Rewritten atomically (tmp + rename) after every shard completion, so
-/// a crash leaves either the old or the new manifest, never a torn one.
+/// Rewritten through util::durable_replace after every shard completion,
+/// so a crash leaves either the old or the new manifest, never a torn one.
 struct Manifest {
   std::uint64_t identity = 0;
   unsigned n_shards = 0;
@@ -95,16 +66,11 @@ struct Manifest {
         out << "stopped_detail " << detail << "\n";
       }
     }
-    const std::string tmp = (fs::path(dir) / "MANIFEST.tmp").string();
-    const std::string final_path = (fs::path(dir) / kManifestName).string();
-    {
-      std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-      f << out.str();
-      if (!f) throw std::runtime_error("checkpoint: cannot write " + tmp);
-    }
-    fsync_path(tmp, /*directory=*/false);
-    fs::rename(tmp, final_path);
-    fsync_path(dir, /*directory=*/true);
+    const std::string text = out.str();
+    util::durable_replace((fs::path(dir) / kManifestName).string(),
+                          [&](std::FILE* file) {
+                            std::fwrite(text.data(), 1, text.size(), file);
+                          });
   }
 
   static Manifest read(const std::string& dir) {
@@ -239,8 +205,8 @@ class DurableSink final : public trace::TraceSink {
 };
 
 /// The wall-clock run-health channel (DESIGN.md §13): a background thread
-/// rewriting "<dir>/heartbeat.json" atomically (tmp + rename, like the
-/// MANIFEST) every interval with per-shard sim-time progress, throughput,
+/// rewriting "<dir>/heartbeat.json" through util::durable_replace (like
+/// the MANIFEST) every interval with per-shard sim-time progress, throughput,
 /// current + peak RSS and an ETA — what tools/runwatch.py tails.  Strictly
 /// a side channel: it only reads the relaxed atomics above and nothing the
 /// simulation reads back, so the trace is byte-identical with it on or
@@ -382,19 +348,11 @@ class HeartbeatWriter {
     out << "]\n}\n";
 
     try {
-      const std::string tmp =
-          (fs::path(dir_) / "heartbeat.json.tmp").string();
-      const std::string final_path =
-          (fs::path(dir_) / "heartbeat.json").string();
-      {
-        std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-        f << out.str();
-        if (!f) {
-          write_errors_.fetch_add(1, std::memory_order_relaxed);
-          return;
-        }
-      }
-      fs::rename(tmp, final_path);
+      const std::string text = out.str();
+      util::durable_replace((fs::path(dir_) / "heartbeat.json").string(),
+                            [&](std::FILE* file) {
+                              std::fwrite(text.data(), 1, text.size(), file);
+                            });
     } catch (...) {
       // Telemetry only: a failed beat must never take the run down —
       // but it must not vanish either.
@@ -501,8 +459,7 @@ void run_durable_shards(const core::WorkloadModel& model,
 
   if (shards_out != nullptr) shards_out->resize(n_shards);
   shard_stats.assign(n_shards, ShardStats{});
-  const bool qtrace_on = base.qtrace.sample_rate > 0.0;
-  const bool timeline_on = base.timeline.tick_seconds > 0.0;
+  const obs::SidecarSet sidecars(base.qtrace, base.timeline);
   const double horizon =
       (base.warmup_days + base.duration_days) * sim::kSecondsPerDay;
   std::mutex manifest_mutex;  // guards manifest + summary
@@ -518,6 +475,49 @@ void run_durable_shards(const core::WorkloadModel& model,
         horizon);
   }
 
+  // Tells the heartbeat a shard is finished (loaded or simulated).
+  const auto beat_done = [&](std::size_t k) {
+    if (heartbeat == nullptr) return;
+    ShardProgress& progress = heartbeat->shard(k);
+    progress.sim_time_bits.store(std::bit_cast<std::uint64_t>(horizon),
+                                 std::memory_order_relaxed);
+    progress.events.store(shard_stats[k].events, std::memory_order_relaxed);
+    progress.done.store(true, std::memory_order_relaxed);
+  };
+
+  // Finishes a shard that is not simulated: its spool (fsync'd before the
+  // manifest marked it done) already holds the whole shard trace.  Spool-
+  // only mode reads nothing — the streaming analysis validates the
+  // segments in its own single pass.
+  const auto load_done_shard = [&](std::size_t k, bool salvage) {
+    const std::string spool_dir =
+        shard_dir(durability.dir, static_cast<unsigned>(k));
+    if (shards_out != nullptr && salvage) {
+      trace::SalvageReport report;
+      (*shards_out)[k] = trace::read_spool_salvage(spool_dir, &report);
+      shard_stats[k].events = (*shards_out)[k].size();
+      std::lock_guard<std::mutex> lock(manifest_mutex);
+      summary.records_recovered += report.records_recovered;
+      shard_salvage[k] = std::move(report);
+    } else if (shards_out != nullptr) {
+      trace::SpoolRecoveryReport report;
+      (*shards_out)[k] = trace::read_spool(spool_dir, &report);
+      if (report.torn) {
+        throw std::runtime_error(
+            "checkpoint: completed shard " + std::to_string(k) +
+            " has a torn spool — completed data should never tear");
+      }
+      shard_stats[k].events = (*shards_out)[k].size();
+      std::lock_guard<std::mutex> lock(manifest_mutex);
+      summary.segments_scanned += report.segments_scanned;
+      summary.records_recovered += report.records_recovered;
+    }
+    beat_done(k);
+    std::lock_guard<std::mutex> lock(manifest_mutex);
+    ++summary.checkpoints_loaded;
+    ++summary.shards_completed_prior;
+  };
+
   util::ThreadPool pool(std::min(n_threads, n_shards));
   pool.run_indexed(n_shards, [&](std::size_t k) {
     const unsigned index = static_cast<unsigned>(k);
@@ -529,71 +529,16 @@ void run_durable_shards(const core::WorkloadModel& model,
     // are pure functions of (model, config, shard seed)).
     bool rebuilding_sidecars = false;
     if (manifest.done[k]) {
-      // Finished before the crash: its spool holds the whole shard
-      // trace, fsync'd before the manifest marked it done.
       shard_stats[k].seed = shard_seed(base.seed, index);
       // Probe the sidecars first (cheap CRC pass): if one is damaged the
-      // spool is consumed by the replay-rebuild instead of read here.
-      if (qtrace_on) {
-        // A checkpoint written before tracing (or at rate 0) simply has
-        // no sidecar (load returns false); the shard contributes no hop
-        // events, exactly as the streaming replay will also conclude.
-        try {
-          obs::load_qtrace(obs::qtrace_sidecar_path(spool_dir),
-                           shard_stats[k].qtrace);
-        } catch (const std::exception&) {
-          shard_stats[k].qtrace.clear();
-          rebuilding_sidecars = true;
-        }
-      }
-      if (timeline_on) {
-        // Same sidecar contract as qtrace: a missing timeline.bin means
-        // the shard finished before timelines were on, contributing no
-        // ticks.
-        try {
-          obs::load_timeline(obs::timeline_sidecar_path(spool_dir),
-                             shard_stats[k].timeline);
-        } catch (const std::exception&) {
-          shard_stats[k].timeline.clear();
-          rebuilding_sidecars = true;
-        }
-      }
+      // spool is consumed by the replay-rebuild instead of read here.  A
+      // checkpoint written before a stream was on simply has no sidecar
+      // for it; the shard contributes nothing to that stream, exactly as
+      // the streaming replay will also conclude.
+      rebuilding_sidecars =
+          !obs::load_sidecars(spool_dir, sidecars, shard_stats[k].observed);
       if (!rebuilding_sidecars) {
-        if (shards_out != nullptr) {
-          if (durability.salvage) {
-            trace::SalvageReport report;
-            (*shards_out)[k] = trace::read_spool_salvage(spool_dir, &report);
-            shard_stats[k].events = (*shards_out)[k].size();
-            std::lock_guard<std::mutex> lock(manifest_mutex);
-            summary.records_recovered += report.records_recovered;
-            shard_salvage[k] = std::move(report);
-          } else {
-            trace::SpoolRecoveryReport report;
-            (*shards_out)[k] = trace::read_spool(spool_dir, &report);
-            if (report.torn) {
-              throw std::runtime_error(
-                  "checkpoint: completed shard " + std::to_string(index) +
-                  " has a torn spool — completed data should never tear");
-            }
-            shard_stats[k].events = (*shards_out)[k].size();
-            std::lock_guard<std::mutex> lock(manifest_mutex);
-            summary.segments_scanned += report.segments_scanned;
-            summary.records_recovered += report.records_recovered;
-          }
-        }
-        if (heartbeat != nullptr) {
-          ShardProgress& progress = heartbeat->shard(k);
-          progress.sim_time_bits.store(std::bit_cast<std::uint64_t>(horizon),
-                                       std::memory_order_relaxed);
-          progress.events.store(shard_stats[k].events,
-                                std::memory_order_relaxed);
-          progress.done.store(true, std::memory_order_relaxed);
-        }
-        // Spool-only mode reads nothing: the streaming analysis validates
-        // the segments in its own single pass.
-        std::lock_guard<std::mutex> lock(manifest_mutex);
-        ++summary.checkpoints_loaded;
-        ++summary.shards_completed_prior;
+        load_done_shard(k, durability.salvage);
         return;
       }
       std::lock_guard<std::mutex> lock(manifest_mutex);
@@ -624,32 +569,8 @@ void run_durable_shards(const core::WorkloadModel& model,
         // rebuild is impossible (it digest-verifies against the spool).
         // The best recoverable state is empty sidecars — the loss is
         // already accounted by the spool's salvage report.
-        if (qtrace_on) {
-          obs::save_qtrace(obs::qtrace_sidecar_path(spool_dir), {});
-        }
-        if (timeline_on) {
-          obs::save_timeline(obs::timeline_sidecar_path(spool_dir), {},
-                             base.timeline.tick_seconds);
-        }
-        if (shards_out != nullptr) {
-          trace::SalvageReport report;
-          (*shards_out)[k] = trace::read_spool_salvage(spool_dir, &report);
-          shard_stats[k].events = (*shards_out)[k].size();
-          std::lock_guard<std::mutex> lock(manifest_mutex);
-          summary.records_recovered += report.records_recovered;
-          shard_salvage[k] = std::move(report);
-        }
-        if (heartbeat != nullptr) {
-          ShardProgress& progress = heartbeat->shard(k);
-          progress.sim_time_bits.store(std::bit_cast<std::uint64_t>(horizon),
-                                       std::memory_order_relaxed);
-          progress.events.store(shard_stats[k].events,
-                                std::memory_order_relaxed);
-          progress.done.store(true, std::memory_order_relaxed);
-        }
-        std::lock_guard<std::mutex> lock(manifest_mutex);
-        ++summary.checkpoints_loaded;
-        ++summary.shards_completed_prior;
+        obs::save_sidecars(spool_dir, sidecars, {});
+        load_done_shard(k, /*salvage=*/true);
         return;
       }
       {
@@ -667,36 +588,14 @@ void run_durable_shards(const core::WorkloadModel& model,
                        &stop.requested);
       simulate_shard_into(model, base, index, sink, &shard_stats[k]);
       writer->close();  // final fsync: the shard's redo log is complete
-      if (qtrace_on) {
-        // The sidecar is durable before the manifest marks the shard done,
-        // so a done shard always has its (possibly empty) qtrace next to
-        // its spool.  Spool-only mode drops the in-memory copy right away:
-        // the streaming pass reads it back from disk.
-        obs::save_qtrace(obs::qtrace_sidecar_path(spool_dir),
-                         shard_stats[k].qtrace);
-        if (shards_out == nullptr) {
-          shard_stats[k].qtrace.clear();
-          shard_stats[k].qtrace.shrink_to_fit();
-        }
-      }
-      if (timeline_on) {
-        // Identical protocol for the timeline sidecar.
-        obs::save_timeline(obs::timeline_sidecar_path(spool_dir),
-                           shard_stats[k].timeline,
-                           base.timeline.tick_seconds);
-        if (shards_out == nullptr) {
-          shard_stats[k].timeline.clear();
-          shard_stats[k].timeline.shrink_to_fit();
-        }
-      }
-      if (heartbeat != nullptr) {
-        ShardProgress& progress = heartbeat->shard(k);
-        progress.sim_time_bits.store(std::bit_cast<std::uint64_t>(horizon),
-                                     std::memory_order_relaxed);
-        progress.events.store(shard_stats[k].events,
-                              std::memory_order_relaxed);
-        progress.done.store(true, std::memory_order_relaxed);
-      }
+      // The sidecars are durable (file and directory fsync'd) before the
+      // manifest marks the shard done, so a done shard always has its
+      // (possibly empty) sidecars next to its spool.  Spool-only mode
+      // drops the in-memory copy right away: the streaming pass reads the
+      // sidecars back from disk.
+      obs::save_sidecars(spool_dir, sidecars, shard_stats[k].observed);
+      if (shards_out == nullptr) shard_stats[k].observed = {};
+      beat_done(k);
 
       std::lock_guard<std::mutex> lock(manifest_mutex);
       summary.events_replayed += sink.replayed();
@@ -764,14 +663,12 @@ std::uint64_t run_identity_digest(const core::WorkloadModel& model,
                                   unsigned n_shards) {
   std::ostringstream model_text;
   core::save_model(model, model_text);
-  std::uint64_t d = trace::kFnvOffsetBasis;
-  d = hash_string(d, model_text.str());
+  std::uint64_t d = util::fnv1a_string(util::kFnvOffsetBasis, model_text.str());
   // One shared digest covers every config field that shapes the trace —
   // scenario schedules, degradation knobs and client mix included — so
   // the durable-run identity can never drift out of sync with the config.
-  d = hash_pod(d, simulation_config_digest(config));
-  d = hash_pod(d, n_shards);
-  return d;
+  d = util::fnv1a_u64(d, simulation_config_digest(config));
+  return util::fnv1a_update(d, &n_shards, sizeof(n_shards));
 }
 
 bool checkpoint_exists(const std::string& dir) {
@@ -814,42 +711,12 @@ trace::Trace simulate_trace_durable(const core::WorkloadModel& model,
   run_durable_shards(model, base, n_shards, n_threads, durability, summary_out,
                      shard_stats, &shards);
 
-  trace::Trace merged;
-  {
-    obs::ObsSpan span_merge("trace.merge");
-    merged = trace::merge_traces(std::move(shards));
-  }
-  obs::Registry::global().counter("sim.merged_events").add(merged.size());
-
-  if (base.qtrace.sample_rate > 0.0) {
-    // Same merge + publish as simulate_trace_sharded: resumed shards
-    // contribute the sidecar buffers recovered above, fresh shards the
-    // buffers they just recorded, so an interrupted-and-resumed run's
-    // merged qtrace is identical to an uninterrupted one's.
-    std::vector<std::vector<obs::QueryHopEvent>> per_shard(n_shards);
-    for (unsigned k = 0; k < n_shards; ++k) {
-      per_shard[k] = std::move(shard_stats[k].qtrace);
-    }
-    std::vector<obs::QueryHopEvent> merged_qtrace =
-        obs::merge_qtrace(std::move(per_shard));
-    obs::publish_qtrace_metrics(merged_qtrace);
-    if (qtrace != nullptr) *qtrace = std::move(merged_qtrace);
-  }
-
-  if (base.timeline.tick_seconds > 0.0) {
-    // Same contract for the timeline: sidecar buffers from resumed shards
-    // plus freshly recorded ones merge to the identical tick stream an
-    // uninterrupted run would have produced.
-    std::vector<std::vector<obs::TimelinePoint>> per_shard(n_shards);
-    for (unsigned k = 0; k < n_shards; ++k) {
-      per_shard[k] = std::move(shard_stats[k].timeline);
-    }
-    std::vector<obs::TimelinePoint> merged_timeline =
-        obs::merge_timeline(std::move(per_shard));
-    obs::publish_timeline_metrics(merged_timeline);
-    if (timeline != nullptr) *timeline = std::move(merged_timeline);
-  }
-
+  // Same merge + publish as simulate_trace_sharded: resumed shards
+  // contribute the sidecar streams recovered above, fresh shards the ones
+  // they just recorded, so an interrupted-and-resumed run's merged streams
+  // are identical to an uninterrupted one's.
+  trace::Trace merged =
+      merge_shards(base, std::move(shards), shard_stats, qtrace, timeline);
   if (stats != nullptr) *stats = std::move(shard_stats);
   return merged;
 }

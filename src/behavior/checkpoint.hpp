@@ -143,17 +143,17 @@ bool checkpoint_exists(const std::string& dir);
 /// existing checkpoint's identity does not match (model/config/shards).
 ///
 /// Query-lifecycle tracing (base.qtrace.sample_rate > 0): each shard's
-/// hop events are written to an atomic "qtrace.bin" sidecar next to its
-/// spool before the MANIFEST marks the shard done, and done shards load
-/// theirs back on resume — so the merged stream (published to the obs
-/// registry; optionally returned via `qtrace`) is identical whether or
-/// not the run was interrupted.  A done shard without a sidecar (written
+/// hop events are written to a "qtrace.bin" sidecar next to its spool,
+/// fsync'd with its directory before the MANIFEST marks the shard done
+/// (obs/sidecars.hpp), and done shards load theirs back on resume — so
+/// the merged stream (published to the obs registry; optionally returned
+/// via `qtrace`) is identical whether or not the run was interrupted.  A done shard without a sidecar (written
 /// before tracing, or at rate 0) contributes no events; keep the
 /// sampling flags consistent across resume for meaningful aggregates.
 ///
 /// Sim-time timelines (base.timeline.tick_seconds > 0) follow the exact
-/// same sidecar protocol with "timeline.bin": written atomically before
-/// the shard is marked done, reloaded for done shards on resume, merged
+/// same sidecar protocol with "timeline.bin": made durable before the
+/// shard is marked done, reloaded for done shards on resume, merged
 /// in (time, shard) order and published — identical across interruption.
 trace::Trace simulate_trace_durable(
     const core::WorkloadModel& model, const TraceSimulationConfig& base,

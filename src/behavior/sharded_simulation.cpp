@@ -29,11 +29,34 @@ void fill_stats(ShardStats& stats, TraceSimulation& simulation,
   stats.replenish_scheduled = node.replenish_scheduled();
   stats.replenish_spawns = node.replenish_spawns();
   stats.session_ends = node.session_ends();
-  stats.qtrace = simulation.take_qtrace();
-  stats.timeline = simulation.take_timeline();
+  stats.observed.qtrace = simulation.take_qtrace();
+  stats.observed.timeline = simulation.take_timeline();
 }
 
 }  // namespace
+
+trace::Trace merge_shards(const TraceSimulationConfig& base,
+                          std::vector<trace::Trace> shards,
+                          std::vector<ShardStats>& stats,
+                          std::vector<obs::QueryHopEvent>* qtrace,
+                          std::vector<obs::TimelinePoint>* timeline) {
+  trace::Trace merged;
+  {
+    obs::ObsSpan span("trace.merge");
+    merged = trace::merge_traces(std::move(shards));
+  }
+  obs::Registry::global().counter("sim.merged_events").add(merged.size());
+
+  std::vector<obs::ObserverStreams> observed(stats.size());
+  for (std::size_t k = 0; k < stats.size(); ++k) {
+    observed[k] = std::move(stats[k].observed);
+  }
+  obs::ObserverStreams streams = obs::merge_and_publish(
+      obs::SidecarSet(base.qtrace, base.timeline), std::move(observed));
+  if (qtrace != nullptr) *qtrace = std::move(streams.qtrace);
+  if (timeline != nullptr) *timeline = std::move(streams.timeline);
+  return merged;
+}
 
 std::uint64_t shard_seed(std::uint64_t master_seed,
                          unsigned shard_index) noexcept {
@@ -43,16 +66,8 @@ std::uint64_t shard_seed(std::uint64_t master_seed,
 trace::Trace simulate_shard(const core::WorkloadModel& model,
                             const TraceSimulationConfig& base,
                             unsigned shard_index, ShardStats* stats) {
-  obs::ObsSpan span("sim.shard");
-  TraceSimulationConfig config = base;
-  config.seed = shard_seed(base.seed, shard_index);
-
   trace::Trace trace;
-  TraceSimulation simulation(model, config, trace);
-  simulation.run();
-  simulation.publish_metrics();
-
-  if (stats != nullptr) fill_stats(*stats, simulation, config.seed, trace.size());
+  simulate_shard_into(model, base, shard_index, trace, stats);
   return trace;
 }
 
@@ -64,8 +79,7 @@ void simulate_shard_into(const core::WorkloadModel& model,
   TraceSimulationConfig config = base;
   config.seed = shard_seed(base.seed, shard_index);
 
-  // Counts events on the way through so ShardStats.events matches the
-  // buffered path (a plain sink has no size()).
+  // Counts events on the way through: a plain sink has no size().
   struct CountingSink final : trace::TraceSink {
     explicit CountingSink(trace::TraceSink& wrapped) : inner(wrapped) {}
     void on_event(const trace::TraceEvent& event) override {
@@ -106,37 +120,9 @@ trace::Trace simulate_trace_sharded(const core::WorkloadModel& model,
   util::publish_pool_stats("pool.sim", pool.stats());
   obs::Registry::global().counter("sim.shards_run").add(n_shards);
 
-  if (base.qtrace.sample_rate > 0.0) {
-    // Merge + aggregate the per-shard qtrace buffers before the stats
-    // move below consumes them.
-    std::vector<std::vector<obs::QueryHopEvent>> per_shard(n_shards);
-    for (unsigned k = 0; k < n_shards; ++k) {
-      per_shard[k] = std::move(shard_stats[k].qtrace);
-    }
-    std::vector<obs::QueryHopEvent> merged_qtrace =
-        obs::merge_qtrace(std::move(per_shard));
-    obs::publish_qtrace_metrics(merged_qtrace);
-    if (qtrace != nullptr) *qtrace = std::move(merged_qtrace);
-  }
-
-  if (base.timeline.tick_seconds > 0.0) {
-    std::vector<std::vector<obs::TimelinePoint>> per_shard(n_shards);
-    for (unsigned k = 0; k < n_shards; ++k) {
-      per_shard[k] = std::move(shard_stats[k].timeline);
-    }
-    std::vector<obs::TimelinePoint> merged_timeline =
-        obs::merge_timeline(std::move(per_shard));
-    obs::publish_timeline_metrics(merged_timeline);
-    if (timeline != nullptr) *timeline = std::move(merged_timeline);
-  }
-
+  trace::Trace merged =
+      merge_shards(base, std::move(shards), shard_stats, qtrace, timeline);
   if (stats != nullptr) *stats = std::move(shard_stats);
-  trace::Trace merged;
-  {
-    obs::ObsSpan span("trace.merge");
-    merged = trace::merge_traces(std::move(shards));
-  }
-  obs::Registry::global().counter("sim.merged_events").add(merged.size());
   return merged;
 }
 

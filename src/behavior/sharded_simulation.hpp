@@ -25,8 +25,7 @@
 
 #include "behavior/trace_simulation.hpp"
 #include "geo/region.hpp"
-#include "obs/qtrace.hpp"
-#include "obs/timeline.hpp"
+#include "obs/sidecars.hpp"
 
 namespace p2pgen::behavior {
 
@@ -50,15 +49,10 @@ struct ShardStats {
   /// SessionEnd histogram by trace::EndReason value.
   std::array<std::uint64_t, 4> session_ends{};
 
-  /// The shard's query-lifecycle hop events (empty when qtrace sampling
-  /// is off).  Time-ordered within the shard; obs::merge_qtrace pins the
-  /// cross-shard order.
-  std::vector<obs::QueryHopEvent> qtrace;
-
-  /// The shard's timeline ticks (empty when timelines are off).
-  /// Time-ordered within the shard; obs::merge_timeline pins the
-  /// cross-shard order.
-  std::vector<obs::TimelinePoint> timeline;
+  /// The shard's query-lifecycle hop events and timeline ticks (each
+  /// empty when its stream is off).  Time-ordered within the shard;
+  /// obs::merge_and_publish pins the cross-shard order.
+  obs::ObserverStreams observed;
 };
 
 /// Seed of shard `shard_index` under `master_seed`.  Every shard —
@@ -89,19 +83,26 @@ void simulate_shard_into(const core::WorkloadModel& model,
 /// shard simulates the full base.duration_days window.  When `stats` is
 /// non-null it receives one entry per shard, in shard order.
 ///
-/// When base.qtrace.sample_rate > 0 the per-shard qtrace buffers are
-/// merged (obs::merge_qtrace) and their aggregates published to the
-/// global registry; pass `qtrace` to also receive the merged stream.
-/// Likewise, when base.timeline.tick_seconds > 0 the per-shard timeline
-/// buffers are merged (obs::merge_timeline) and published; pass
-/// `timeline` to receive that merged stream.  The per-shard buffers are
-/// consumed by the merges — ShardStats.qtrace / .timeline come back
-/// empty from this entry point.
+/// When base.qtrace.sample_rate > 0 and/or base.timeline.tick_seconds > 0
+/// the per-shard observer streams are merged and their aggregates
+/// published (obs::merge_and_publish); pass `qtrace` / `timeline` to also
+/// receive the merged streams.  The merge consumes the per-shard buffers:
+/// ShardStats.observed comes back empty from this entry point.
 trace::Trace simulate_trace_sharded(
     const core::WorkloadModel& model, const TraceSimulationConfig& base,
     unsigned n_shards, unsigned n_threads,
     std::vector<ShardStats>* stats = nullptr,
     std::vector<obs::QueryHopEvent>* qtrace = nullptr,
     std::vector<obs::TimelinePoint>* timeline = nullptr);
+
+/// The merge step the sharded entry points share: merges the shard traces
+/// (trace::merge_traces), moves every shard's observer streams out of
+/// `stats`, merges and publishes the streams `base` turns on, and hands
+/// the merged streams to the non-null outputs.
+trace::Trace merge_shards(const TraceSimulationConfig& base,
+                          std::vector<trace::Trace> shards,
+                          std::vector<ShardStats>& stats,
+                          std::vector<obs::QueryHopEvent>* qtrace,
+                          std::vector<obs::TimelinePoint>* timeline);
 
 }  // namespace p2pgen::behavior

@@ -5,65 +5,45 @@
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
+#include "util/fnv.hpp"
 
 namespace p2pgen::behavior {
 
 namespace {
 
-// FNV-1a over raw bytes; the digest is order-sensitive so every field —
-// including newly added ones — perturbs it.
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-std::uint64_t fnv_bytes(std::uint64_t h, const void* data, std::size_t n) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= bytes[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-std::uint64_t fnv_u64(std::uint64_t h, std::uint64_t v) {
-  return fnv_bytes(h, &v, sizeof(v));
-}
-
+// The digest is FNV-1a and order-sensitive, so every field — including
+// newly added ones — perturbs it.  Doubles fold as their IEEE-754 bits.
 std::uint64_t fnv_f64(std::uint64_t h, double v) {
-  return fnv_u64(h, std::bit_cast<std::uint64_t>(v));
-}
-
-std::uint64_t fnv_str(std::uint64_t h, const std::string& s) {
-  h = fnv_u64(h, s.size());
-  return fnv_bytes(h, s.data(), s.size());
+  return util::fnv1a_u64(h, std::bit_cast<std::uint64_t>(v));
 }
 
 }  // namespace
 
 std::uint64_t simulation_config_digest(const TraceSimulationConfig& config) {
-  std::uint64_t d = kFnvOffset;
+  std::uint64_t d = util::kFnvOffsetBasis;
   d = fnv_f64(d, config.duration_days);
   d = fnv_f64(d, config.warmup_days);
   d = fnv_f64(d, config.arrival_rate);
   d = fnv_f64(d, config.diurnal_amplitude);
-  d = fnv_u64(d, config.seed);
+  d = util::fnv1a_u64(d, config.seed);
   for (const double c : config.region_flow_correction) d = fnv_f64(d, c);
 
   const MeasurementNode::Config& node = config.node;
-  d = fnv_u64(d, node.max_connections);
+  d = util::fnv1a_u64(d, node.max_connections);
   d = fnv_f64(d, node.idle_threshold);
   d = fnv_f64(d, node.probe_timeout);
-  d = fnv_str(d, node.user_agent);
-  d = fnv_u64(d, node.ip);
-  d = fnv_u64(d, node.shared_files);
-  d = fnv_u64(d, static_cast<std::uint64_t>(node.forward_fanout));
-  d = fnv_u64(d, static_cast<std::uint64_t>(node.forward_retry_max));
+  d = util::fnv1a_string(d, node.user_agent);
+  d = util::fnv1a_u64(d, node.ip);
+  d = util::fnv1a_u64(d, node.shared_files);
+  d = util::fnv1a_u64(d, static_cast<std::uint64_t>(node.forward_fanout));
+  d = util::fnv1a_u64(d, static_cast<std::uint64_t>(node.forward_retry_max));
   d = fnv_f64(d, node.forward_retry_base);
   d = fnv_f64(d, node.forward_retry_max_delay);
-  d = fnv_u64(d, node.replenish ? 1 : 0);
-  d = fnv_u64(d, node.replenish_target);
+  d = util::fnv1a_u64(d, node.replenish ? 1 : 0);
+  d = util::fnv1a_u64(d, node.replenish_target);
   d = fnv_f64(d, node.replenish_backoff_base);
   d = fnv_f64(d, node.replenish_backoff_max);
-  d = fnv_u64(d, node.max_pending_handshakes);
+  d = util::fnv1a_u64(d, node.max_pending_handshakes);
   d = fnv_f64(d, node.query_shed_rate);
   d = fnv_f64(d, node.query_shed_burst);
 
@@ -73,29 +53,29 @@ std::uint64_t simulation_config_digest(const TraceSimulationConfig& config) {
   d = fnv_f64(d, config.background.queryhit_rate);
 
   d = fnv_f64(d, config.network.latency_seconds);
-  d = fnv_u64(d, config.network.count_wire_bytes ? 1 : 0);
+  d = util::fnv1a_u64(d, config.network.count_wire_bytes ? 1 : 0);
 
-  d = fnv_u64(d, sim::fault_config_digest(config.faults));
+  d = util::fnv1a_u64(d, sim::fault_config_digest(config.faults));
 
-  d = fnv_u64(d, config.arrival_schedule.points.size());
+  d = util::fnv1a_u64(d, config.arrival_schedule.points.size());
   for (const ArrivalPoint& p : config.arrival_schedule.points) {
     d = fnv_f64(d, p.at_days);
     d = fnv_f64(d, p.multiplier);
   }
-  d = fnv_u64(d, config.fault_schedule.phases.size());
+  d = util::fnv1a_u64(d, config.fault_schedule.phases.size());
   for (const FaultPhase& phase : config.fault_schedule.phases) {
     d = fnv_f64(d, phase.at_days);
-    d = fnv_u64(d, sim::fault_config_digest(phase.faults));
+    d = util::fnv1a_u64(d, sim::fault_config_digest(phase.faults));
   }
-  d = fnv_u64(d, config.outages.size());
+  d = util::fnv1a_u64(d, config.outages.size());
   for (const RegionalOutage& outage : config.outages) {
     d = fnv_f64(d, outage.at_days);
     d = fnv_f64(d, outage.duration_days);
-    d = fnv_u64(d, geo::region_index(outage.region));
+    d = util::fnv1a_u64(d, geo::region_index(outage.region));
     d = fnv_f64(d, outage.severity);
     d = fnv_f64(d, outage.arrival_suppression);
   }
-  d = fnv_str(d, config.client_mix);
+  d = util::fnv1a_string(d, config.client_mix);
   return d;
 }
 

@@ -154,13 +154,8 @@ class TraceSimulation {
   /// summing them over shards is deterministic for any thread count.
   void publish_metrics() const;
 
-  /// The query-lifecycle tracer, or nullptr when sample_rate == 0.
-  const obs::QueryTracer* query_tracer() const noexcept {
-    return qtracer_.get();
-  }
-
   /// Takes the recorded hop events (empty when tracing is off).  The
-  /// per-shard buffer is time-ordered; merge with obs::merge_qtrace.
+  /// per-shard buffer is time-ordered; merge with obs::merge_by_time.
   std::vector<obs::QueryHopEvent> take_qtrace() {
     return qtracer_ ? qtracer_->take() : std::vector<obs::QueryHopEvent>{};
   }
@@ -168,7 +163,7 @@ class TraceSimulation {
   /// Takes the recorded timeline points (empty when timelines are off),
   /// flushing the trailing ticks up to the simulation horizon first so
   /// every shard emits the identical tick grid.  The per-shard buffer is
-  /// time-ordered; merge with obs::merge_timeline.
+  /// time-ordered; merge with obs::merge_by_time.
   std::vector<obs::TimelinePoint> take_timeline() {
     if (!timeline_) return {};
     timeline_->finish(horizon_);

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "util/fnv.hpp"
+
 namespace p2pgen::gnutella {
 
 Guid Guid::generate(stats::Rng& rng) {
@@ -34,12 +36,10 @@ std::string Guid::to_string() const {
 }
 
 std::size_t GuidHash::operator()(const Guid& g) const noexcept {
-  std::size_t h = 1469598103934665603ULL;
-  for (auto b : g.bytes) {
-    h ^= b;
-    h *= 1099511628211ULL;
-  }
-  return h;
+  // The seed is not the FNV offset basis (that has one more digit), and
+  // GUID hashes land in every trace: changing it changes every digest.
+  constexpr std::uint64_t kSeed = 1469598103934665603ULL;
+  return util::fnv1a_update(kSeed, g.bytes.data(), g.bytes.size());
 }
 
 }  // namespace p2pgen::gnutella

@@ -3,42 +3,27 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
-#include <cstring>
 #include <limits>
 #include <ostream>
 #include <stdexcept>
 
-#include "obs/crc32.hpp"
 #include "obs/metrics.hpp"
+#include "obs/record_file.hpp"
+#include "util/le_bytes.hpp"
 
 namespace p2pgen::obs {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-std::uint64_t fnv1a_bytes(std::uint64_t hash, const void* data,
-                          std::size_t size) noexcept {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
+using util::bits_double;
+using util::double_bits;
 
 /// The sampling mix: FNV-1a over the key's little-endian bytes.  GUID
 /// hashes are already well distributed, but mixing again keeps the
 /// decision independent of how GuidHash folds bits (and of any future
 /// change to the key's provenance).
 std::uint64_t sample_mix(std::uint64_t query) noexcept {
-  std::uint64_t hash = kFnvOffset;
-  for (int i = 0; i < 8; ++i) {
-    hash ^= (query >> (8 * i)) & 0xffU;
-    hash *= kFnvPrime;
-  }
-  return hash;
+  return util::fnv1a_u64(util::kFnvOffsetBasis, query);
 }
 
 std::uint64_t sample_threshold(double rate) noexcept {
@@ -54,104 +39,43 @@ std::uint64_t sample_threshold(double rate) noexcept {
   return static_cast<std::uint64_t>(scaled);
 }
 
-std::uint64_t double_bits(double value) noexcept {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(value));
-  std::memcpy(&bits, &value, sizeof(bits));
-  return bits;
-}
-
-double bits_double(std::uint64_t bits) noexcept {
-  double value = 0.0;
-  std::memcpy(&value, &bits, sizeof(value));
-  return value;
-}
-
-/// Sidecar wire format (all little-endian):
-///   "p2pq" | u32 version | u64 count | count * 32-byte records
+/// Sidecar wire format (record_file.hpp; empty header tail):
+///   "p2pq" | u32 version | u64 count | count * 32-byte records | u32 CRC32
 /// Record: u64 time_bits | u64 query | u64 value_bits | u32 shard |
 ///         u8 hop | u8 ttl | u8 hops | u8 pad(0)
-constexpr char kQtraceMagic[4] = {'p', '2', 'p', 'q'};
-// v2 appends a CRC32 trailer over the record bytes so a resume can tell
-// a damaged sidecar from a valid one (and rebuild it, DESIGN.md §14).
-constexpr std::uint32_t kQtraceFormatVersion = 2;
-constexpr std::size_t kQtraceRecordBytes = 32;
+/// Version 2 added the CRC32 trailer, so a resume can tell a damaged
+/// sidecar from a valid one and rebuild it (DESIGN.md §14).
+struct QtraceCodec {
+  using Record = QueryHopEvent;
+  static constexpr RecordFormat kFormat{"qtrace", {'p', '2', 'p', 'q'}, 2, 0,
+                                        32};
 
-void put_u32(unsigned char* out, std::uint32_t v) noexcept {
-  out[0] = static_cast<unsigned char>(v & 0xffU);
-  out[1] = static_cast<unsigned char>((v >> 8) & 0xffU);
-  out[2] = static_cast<unsigned char>((v >> 16) & 0xffU);
-  out[3] = static_cast<unsigned char>((v >> 24) & 0xffU);
-}
-
-void put_u64(unsigned char* out, std::uint64_t v) noexcept {
-  for (int i = 0; i < 8; ++i) {
-    out[i] = static_cast<unsigned char>((v >> (8 * i)) & 0xffU);
-  }
-}
-
-std::uint32_t get_u32(const unsigned char* in) noexcept {
-  return static_cast<std::uint32_t>(in[0]) |
-         (static_cast<std::uint32_t>(in[1]) << 8) |
-         (static_cast<std::uint32_t>(in[2]) << 16) |
-         (static_cast<std::uint32_t>(in[3]) << 24);
-}
-
-std::uint64_t get_u64(const unsigned char* in) noexcept {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(in[i]) << (8 * i);
-  }
-  return v;
-}
-
-/// Record layout: time_bits u64 | query u64 | value is folded into the
-/// digest/serialization as u64 bits, shard u32, then hop/ttl/hops/pad.
-/// Exactly kQtraceRecordBytes.
-void encode_record(unsigned char* out, const QueryHopEvent& e) noexcept {
-  put_u64(out + 0, double_bits(e.time));
-  put_u64(out + 8, e.query);
-  put_u64(out + 16, double_bits(e.value));
-  put_u32(out + 24, e.shard);
-  out[28] = static_cast<unsigned char>(e.hop);
-  out[29] = e.ttl;
-  out[30] = e.hops;
-  out[31] = 0;
-}
-
-QueryHopEvent decode_record(const unsigned char* in) {
-  QueryHopEvent e;
-  e.time = bits_double(get_u64(in + 0));
-  e.query = get_u64(in + 8);
-  e.value = bits_double(get_u64(in + 16));
-  e.shard = get_u32(in + 24);
-  if (in[28] >= kQueryHopCount) {
-    throw std::runtime_error("qtrace: unknown hop kind " +
-                             std::to_string(int{in[28]}));
-  }
-  e.hop = static_cast<QueryHop>(in[28]);
-  e.ttl = in[29];
-  e.hops = in[30];
-  return e;
-}
-
-class ScopedFile {
- public:
-  explicit ScopedFile(std::FILE* file) : file_(file) {}
-  ~ScopedFile() {
-    if (file_ != nullptr) std::fclose(file_);
-  }
-  ScopedFile(const ScopedFile&) = delete;
-  ScopedFile& operator=(const ScopedFile&) = delete;
-  std::FILE* get() const noexcept { return file_; }
-  int close() {
-    const int rc = std::fclose(file_);
-    file_ = nullptr;
-    return rc;
+  static void encode(unsigned char* out, const QueryHopEvent& e) noexcept {
+    util::put_u64(out + 0, double_bits(e.time));
+    util::put_u64(out + 8, e.query);
+    util::put_u64(out + 16, double_bits(e.value));
+    util::put_u32(out + 24, e.shard);
+    out[28] = static_cast<unsigned char>(e.hop);
+    out[29] = e.ttl;
+    out[30] = e.hops;
+    out[31] = 0;
   }
 
- private:
-  std::FILE* file_;
+  static QueryHopEvent decode(const unsigned char* in) {
+    QueryHopEvent e;
+    e.time = bits_double(util::get_u64(in + 0));
+    e.query = util::get_u64(in + 8);
+    e.value = bits_double(util::get_u64(in + 16));
+    e.shard = util::get_u32(in + 24);
+    if (in[28] >= kQueryHopCount) {
+      throw std::runtime_error("qtrace: unknown hop kind " +
+                               std::to_string(int{in[28]}));
+    }
+    e.hop = static_cast<QueryHop>(in[28]);
+    e.ttl = in[29];
+    e.hops = in[30];
+    return e;
+  }
 };
 
 }  // namespace
@@ -226,43 +150,9 @@ double QueryTracer::latency_since_emit(std::uint64_t query,
   return now - it->second;
 }
 
-std::vector<QueryHopEvent> merge_qtrace(
-    std::vector<std::vector<QueryHopEvent>> shards) {
-  std::size_t total = 0;
-  for (const auto& shard : shards) total += shard.size();
-  std::vector<QueryHopEvent> merged;
-  merged.reserve(total);
-
-  // Same k-way merge discipline as trace::merge_traces: repeatedly take
-  // the head with the strictly smallest time, scanning shards in
-  // ascending index so ties resolve to the lowest shard, and events
-  // within one shard keep their recorded order.
-  std::vector<std::size_t> cursor(shards.size(), 0);
-  while (merged.size() < total) {
-    std::size_t best = shards.size();
-    for (std::size_t k = 0; k < shards.size(); ++k) {
-      if (cursor[k] >= shards[k].size()) continue;
-      if (best == shards.size() ||
-          shards[k][cursor[k]].time < shards[best][cursor[best]].time) {
-        best = k;
-      }
-    }
-    QueryHopEvent event = shards[best][cursor[best]++];
-    event.shard = static_cast<std::uint32_t>(best);
-    merged.push_back(event);
-  }
-  return merged;
-}
-
 std::uint64_t qtrace_digest(
     const std::vector<QueryHopEvent>& events) noexcept {
-  std::uint64_t hash = kFnvOffset;
-  unsigned char record[kQtraceRecordBytes];
-  for (const QueryHopEvent& event : events) {
-    encode_record(record, event);
-    hash = fnv1a_bytes(hash, record, sizeof(record));
-  }
-  return hash;
+  return record_digest<QtraceCodec>(events);
 }
 
 void publish_qtrace_metrics(const std::vector<QueryHopEvent>& merged) {
@@ -349,86 +239,11 @@ std::string qtrace_sidecar_path(const std::string& shard_dir) {
 
 void save_qtrace(const std::string& path,
                  const std::vector<QueryHopEvent>& events) {
-  const std::string tmp = path + ".tmp";
-  {
-    ScopedFile file(std::fopen(tmp.c_str(), "wb"));
-    if (file.get() == nullptr) {
-      throw std::runtime_error("qtrace: cannot open " + tmp);
-    }
-    unsigned char header[16];
-    std::memcpy(header, kQtraceMagic, 4);
-    put_u32(header + 4, kQtraceFormatVersion);
-    put_u64(header + 8, static_cast<std::uint64_t>(events.size()));
-    if (std::fwrite(header, 1, sizeof(header), file.get()) !=
-        sizeof(header)) {
-      throw std::runtime_error("qtrace: short write to " + tmp);
-    }
-    unsigned char record[kQtraceRecordBytes];
-    std::uint32_t crc = crc32_init();
-    for (const QueryHopEvent& event : events) {
-      encode_record(record, event);
-      crc = crc32_update(crc, record, sizeof(record));
-      if (std::fwrite(record, 1, sizeof(record), file.get()) !=
-          sizeof(record)) {
-        throw std::runtime_error("qtrace: short write to " + tmp);
-      }
-    }
-    unsigned char trailer[4];
-    put_u32(trailer, crc32_final(crc));
-    if (std::fwrite(trailer, 1, sizeof(trailer), file.get()) !=
-        sizeof(trailer)) {
-      throw std::runtime_error("qtrace: short write to " + tmp);
-    }
-    if (std::fflush(file.get()) != 0 || file.close() != 0) {
-      throw std::runtime_error("qtrace: flush failed for " + tmp);
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    throw std::runtime_error("qtrace: rename failed for " + path);
-  }
+  save_records<QtraceCodec>(path, events);
 }
 
 bool load_qtrace(const std::string& path, std::vector<QueryHopEvent>& out) {
-  out.clear();
-  ScopedFile file(std::fopen(path.c_str(), "rb"));
-  if (file.get() == nullptr) return false;
-
-  unsigned char header[16];
-  if (std::fread(header, 1, sizeof(header), file.get()) != sizeof(header)) {
-    throw std::runtime_error("qtrace: truncated header in " + path);
-  }
-  if (std::memcmp(header, kQtraceMagic, 4) != 0) {
-    throw std::runtime_error("qtrace: bad magic in " + path);
-  }
-  const std::uint32_t version = get_u32(header + 4);
-  if (version != kQtraceFormatVersion) {
-    throw std::runtime_error("qtrace: unsupported version " +
-                             std::to_string(version) + " in " + path);
-  }
-  const std::uint64_t count = get_u64(header + 8);
-  out.reserve(static_cast<std::size_t>(count));
-  unsigned char record[kQtraceRecordBytes];
-  std::uint32_t crc = crc32_init();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    if (std::fread(record, 1, sizeof(record), file.get()) !=
-        sizeof(record)) {
-      throw std::runtime_error("qtrace: truncated record in " + path);
-    }
-    crc = crc32_update(crc, record, sizeof(record));
-    out.push_back(decode_record(record));
-  }
-  unsigned char trailer[4];
-  if (std::fread(trailer, 1, sizeof(trailer), file.get()) !=
-      sizeof(trailer)) {
-    throw std::runtime_error("qtrace: truncated checksum in " + path);
-  }
-  if (get_u32(trailer) != crc32_final(crc)) {
-    throw std::runtime_error("qtrace: checksum mismatch in " + path);
-  }
-  if (std::fread(record, 1, 1, file.get()) == 1) {
-    throw std::runtime_error("qtrace: trailing bytes in " + path);
-  }
-  return true;
+  return load_records<QtraceCodec>(path, out, [](const unsigned char*) {});
 }
 
 void write_qtrace_json(std::ostream& out,

@@ -82,7 +82,7 @@ const char* query_hop_name(QueryHop hop) noexcept;
 struct QueryHopEvent {
   double time = 0.0;         ///< simulation seconds
   std::uint64_t query = 0;   ///< gnutella::GuidHash of the query's GUID
-  std::uint32_t shard = 0;   ///< shard index; assigned by merge_qtrace
+  std::uint32_t shard = 0;   ///< shard index; assigned by merge_by_time
   QueryHop hop = QueryHop::kQueryEmitted;
   std::uint8_t ttl = 0;
   std::uint8_t hops = 0;
@@ -105,7 +105,6 @@ class QueryTracer {
  public:
   explicit QueryTracer(const QtraceConfig& config);
 
-  bool enabled() const noexcept { return threshold_ != 0 || always_; }
   bool sampled(std::uint64_t query) const noexcept;
 
   /// Appends one hop (dropped while time < gate_time).
@@ -131,12 +130,6 @@ class QueryTracer {
   std::vector<QueryHopEvent> events_;
   std::unordered_map<std::uint64_t, double> first_emit_;
 };
-
-/// Merges per-shard buffers (each time-nondecreasing) into one stream in
-/// stable (time, shard index, within-shard position) order — the exact
-/// order trace::merge_traces pins — and stamps each event's `shard`.
-std::vector<QueryHopEvent> merge_qtrace(
-    std::vector<std::vector<QueryHopEvent>> shards);
 
 /// FNV-1a over the serialized event stream: the bit-identity handle the
 /// determinism tests and the qtrace-overhead CI job compare.

@@ -2,119 +2,50 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <ostream>
 #include <stdexcept>
 
-#include "obs/crc32.hpp"
 #include "obs/metrics.hpp"
+#include "obs/record_file.hpp"
+#include "util/le_bytes.hpp"
 
 namespace p2pgen::obs {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+using util::bits_double;
+using util::double_bits;
 
-std::uint64_t fnv1a_bytes(std::uint64_t hash, const void* data,
-                          std::size_t size) noexcept {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
-
-std::uint64_t double_bits(double value) noexcept {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(value));
-  std::memcpy(&bits, &value, sizeof(bits));
-  return bits;
-}
-
-double bits_double(std::uint64_t bits) noexcept {
-  double value = 0.0;
-  std::memcpy(&value, &bits, sizeof(value));
-  return value;
-}
-
-/// Sidecar wire format (all little-endian):
+/// Sidecar wire format (record_file.hpp; 16-byte header tail):
 ///   "p2pt" | u32 version | u32 series_count | u32 pad(0) |
-///   u64 tick_seconds_bits | u64 count | count * records
+///   u64 tick_seconds_bits | u64 count | count * records | u32 CRC32
 /// Record: u64 time_bits | u32 shard | u32 pad(0) |
 ///         kTimelineSeriesCount * u64 values
-constexpr char kTimelineMagic[4] = {'p', '2', 'p', 't'};
-// v2 appends a CRC32 trailer over the record bytes so a resume can tell
-// a damaged sidecar from a valid one (and rebuild it, DESIGN.md §14).
-constexpr std::uint32_t kTimelineFormatVersion = 2;
-constexpr std::size_t kTimelineHeaderBytes = 32;
-constexpr std::size_t kTimelineRecordBytes = 16 + 8 * kTimelineSeriesCount;
+/// Version 2 added the CRC32 trailer, so a resume can tell a damaged
+/// sidecar from a valid one and rebuild it (DESIGN.md §14).
+struct TimelineCodec {
+  using Record = TimelinePoint;
+  static constexpr RecordFormat kFormat{"timeline", {'p', '2', 'p', 't'}, 2,
+                                        16, 16 + 8 * kTimelineSeriesCount};
 
-void put_u32(unsigned char* out, std::uint32_t v) noexcept {
-  out[0] = static_cast<unsigned char>(v & 0xffU);
-  out[1] = static_cast<unsigned char>((v >> 8) & 0xffU);
-  out[2] = static_cast<unsigned char>((v >> 16) & 0xffU);
-  out[3] = static_cast<unsigned char>((v >> 24) & 0xffU);
-}
-
-void put_u64(unsigned char* out, std::uint64_t v) noexcept {
-  for (int i = 0; i < 8; ++i) {
-    out[i] = static_cast<unsigned char>((v >> (8 * i)) & 0xffU);
-  }
-}
-
-std::uint32_t get_u32(const unsigned char* in) noexcept {
-  return static_cast<std::uint32_t>(in[0]) |
-         (static_cast<std::uint32_t>(in[1]) << 8) |
-         (static_cast<std::uint32_t>(in[2]) << 16) |
-         (static_cast<std::uint32_t>(in[3]) << 24);
-}
-
-std::uint64_t get_u64(const unsigned char* in) noexcept {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(in[i]) << (8 * i);
-  }
-  return v;
-}
-
-void encode_record(unsigned char* out, const TimelinePoint& p) noexcept {
-  put_u64(out + 0, double_bits(p.time));
-  put_u32(out + 8, p.shard);
-  put_u32(out + 12, 0);
-  for (std::size_t s = 0; s < kTimelineSeriesCount; ++s) {
-    put_u64(out + 16 + 8 * s, p.values[s]);
-  }
-}
-
-TimelinePoint decode_record(const unsigned char* in) noexcept {
-  TimelinePoint p;
-  p.time = bits_double(get_u64(in + 0));
-  p.shard = get_u32(in + 8);
-  for (std::size_t s = 0; s < kTimelineSeriesCount; ++s) {
-    p.values[s] = get_u64(in + 16 + 8 * s);
-  }
-  return p;
-}
-
-class ScopedFile {
- public:
-  explicit ScopedFile(std::FILE* file) : file_(file) {}
-  ~ScopedFile() {
-    if (file_ != nullptr) std::fclose(file_);
-  }
-  ScopedFile(const ScopedFile&) = delete;
-  ScopedFile& operator=(const ScopedFile&) = delete;
-  std::FILE* get() const noexcept { return file_; }
-  int close() {
-    const int rc = std::fclose(file_);
-    file_ = nullptr;
-    return rc;
+  static void encode(unsigned char* out, const TimelinePoint& p) noexcept {
+    util::put_u64(out + 0, double_bits(p.time));
+    util::put_u32(out + 8, p.shard);
+    util::put_u32(out + 12, 0);
+    for (std::size_t s = 0; s < kTimelineSeriesCount; ++s) {
+      util::put_u64(out + 16 + 8 * s, p.values[s]);
+    }
   }
 
- private:
-  std::FILE* file_;
+  static TimelinePoint decode(const unsigned char* in) noexcept {
+    TimelinePoint p;
+    p.time = bits_double(util::get_u64(in + 0));
+    p.shard = util::get_u32(in + 8);
+    for (std::size_t s = 0; s < kTimelineSeriesCount; ++s) {
+      p.values[s] = util::get_u64(in + 16 + 8 * s);
+    }
+    return p;
+  }
 };
 
 }  // namespace
@@ -199,42 +130,9 @@ void TimelineRecorder::finish(double end_time) {
   }
 }
 
-std::vector<TimelinePoint> merge_timeline(
-    std::vector<std::vector<TimelinePoint>> shards) {
-  std::size_t total = 0;
-  for (const auto& shard : shards) total += shard.size();
-  std::vector<TimelinePoint> merged;
-  merged.reserve(total);
-
-  // Same k-way merge discipline as trace::merge_traces / merge_qtrace:
-  // repeatedly take the head with the strictly smallest time, scanning
-  // shards in ascending index so ties resolve to the lowest shard.
-  std::vector<std::size_t> cursor(shards.size(), 0);
-  while (merged.size() < total) {
-    std::size_t best = shards.size();
-    for (std::size_t k = 0; k < shards.size(); ++k) {
-      if (cursor[k] >= shards[k].size()) continue;
-      if (best == shards.size() ||
-          shards[k][cursor[k]].time < shards[best][cursor[best]].time) {
-        best = k;
-      }
-    }
-    TimelinePoint point = shards[best][cursor[best]++];
-    point.shard = static_cast<std::uint32_t>(best);
-    merged.push_back(point);
-  }
-  return merged;
-}
-
 std::uint64_t timeline_digest(
     const std::vector<TimelinePoint>& points) noexcept {
-  std::uint64_t hash = kFnvOffset;
-  unsigned char record[kTimelineRecordBytes];
-  for (const TimelinePoint& point : points) {
-    encode_record(record, point);
-    hash = fnv1a_bytes(hash, record, sizeof(record));
-  }
-  return hash;
+  return record_digest<TimelineCodec>(points);
 }
 
 void publish_timeline_metrics(const std::vector<TimelinePoint>& merged) {
@@ -269,96 +167,50 @@ std::string timeline_sidecar_path(const std::string& shard_dir) {
 void save_timeline(const std::string& path,
                    const std::vector<TimelinePoint>& points,
                    double tick_seconds) {
-  const std::string tmp = path + ".tmp";
-  {
-    ScopedFile file(std::fopen(tmp.c_str(), "wb"));
-    if (file.get() == nullptr) {
-      throw std::runtime_error("timeline: cannot open " + tmp);
-    }
-    unsigned char header[kTimelineHeaderBytes];
-    std::memcpy(header, kTimelineMagic, 4);
-    put_u32(header + 4, kTimelineFormatVersion);
-    put_u32(header + 8, static_cast<std::uint32_t>(kTimelineSeriesCount));
-    put_u32(header + 12, 0);
-    put_u64(header + 16, double_bits(tick_seconds));
-    put_u64(header + 24, static_cast<std::uint64_t>(points.size()));
-    if (std::fwrite(header, 1, sizeof(header), file.get()) !=
-        sizeof(header)) {
-      throw std::runtime_error("timeline: short write to " + tmp);
-    }
-    unsigned char record[kTimelineRecordBytes];
-    std::uint32_t crc = crc32_init();
-    for (const TimelinePoint& point : points) {
-      encode_record(record, point);
-      crc = crc32_update(crc, record, sizeof(record));
-      if (std::fwrite(record, 1, sizeof(record), file.get()) !=
-          sizeof(record)) {
-        throw std::runtime_error("timeline: short write to " + tmp);
-      }
-    }
-    unsigned char trailer[4];
-    put_u32(trailer, crc32_final(crc));
-    if (std::fwrite(trailer, 1, sizeof(trailer), file.get()) !=
-        sizeof(trailer)) {
-      throw std::runtime_error("timeline: short write to " + tmp);
-    }
-    if (std::fflush(file.get()) != 0 || file.close() != 0) {
-      throw std::runtime_error("timeline: flush failed for " + tmp);
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    throw std::runtime_error("timeline: rename failed for " + path);
-  }
+  unsigned char tail[16];
+  util::put_u32(tail, static_cast<std::uint32_t>(kTimelineSeriesCount));
+  util::put_u32(tail + 4, 0);
+  util::put_u64(tail + 8, double_bits(tick_seconds));
+  save_records<TimelineCodec>(path, points, tail);
 }
 
 bool load_timeline(const std::string& path, std::vector<TimelinePoint>& out,
                    double* tick_seconds) {
-  out.clear();
-  ScopedFile file(std::fopen(path.c_str(), "rb"));
-  if (file.get() == nullptr) return false;
+  return load_records<TimelineCodec>(
+      path, out, [&](const unsigned char* tail) {
+        const std::uint32_t series = util::get_u32(tail);
+        if (series != kTimelineSeriesCount) {
+          throw std::runtime_error("timeline: series count mismatch in " +
+                                   path + " (file has " +
+                                   std::to_string(series) + ")");
+        }
+        if (tick_seconds != nullptr) {
+          *tick_seconds = bits_double(util::get_u64(tail + 8));
+        }
+      });
+}
 
-  unsigned char header[kTimelineHeaderBytes];
-  if (std::fread(header, 1, sizeof(header), file.get()) != sizeof(header)) {
-    throw std::runtime_error("timeline: truncated header in " + path);
+void write_timeline_json_members(std::ostream& out,
+                                 const std::vector<TimelinePoint>& points,
+                                 double tick_seconds, const char* indent) {
+  char num[64];
+  std::snprintf(num, sizeof(num), "%.9f", tick_seconds);
+  out << indent << "\"tick_seconds\": " << num << ",\n"
+      << indent << "\"series\": [";
+  for (std::size_t s = 0; s < kTimelineSeriesCount; ++s) {
+    out << (s == 0 ? "" : ", ") << '"'
+        << timeline_series_name(static_cast<TimelineSeries>(s)) << '"';
   }
-  if (std::memcmp(header, kTimelineMagic, 4) != 0) {
-    throw std::runtime_error("timeline: bad magic in " + path);
+  out << "],\n" << indent << "\"points\": [";
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    std::snprintf(num, sizeof(num), "%.9f", points[i].time);
+    out << (i == 0 ? "\n" : ",\n") << indent << "  [" << num << ", "
+        << points[i].shard;
+    for (std::uint64_t value : points[i].values) out << ", " << value;
+    out << "]";
   }
-  const std::uint32_t version = get_u32(header + 4);
-  if (version != kTimelineFormatVersion) {
-    throw std::runtime_error("timeline: unsupported version " +
-                             std::to_string(version) + " in " + path);
-  }
-  const std::uint32_t series = get_u32(header + 8);
-  if (series != kTimelineSeriesCount) {
-    throw std::runtime_error("timeline: series count mismatch in " + path +
-                             " (file has " + std::to_string(series) + ")");
-  }
-  if (tick_seconds != nullptr) *tick_seconds = bits_double(get_u64(header + 16));
-  const std::uint64_t count = get_u64(header + 24);
-  out.reserve(static_cast<std::size_t>(count));
-  unsigned char record[kTimelineRecordBytes];
-  std::uint32_t crc = crc32_init();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    if (std::fread(record, 1, sizeof(record), file.get()) !=
-        sizeof(record)) {
-      throw std::runtime_error("timeline: truncated record in " + path);
-    }
-    crc = crc32_update(crc, record, sizeof(record));
-    out.push_back(decode_record(record));
-  }
-  unsigned char trailer[4];
-  if (std::fread(trailer, 1, sizeof(trailer), file.get()) !=
-      sizeof(trailer)) {
-    throw std::runtime_error("timeline: truncated checksum in " + path);
-  }
-  if (get_u32(trailer) != crc32_final(crc)) {
-    throw std::runtime_error("timeline: checksum mismatch in " + path);
-  }
-  if (std::fread(record, 1, 1, file.get()) == 1) {
-    throw std::runtime_error("timeline: trailing bytes in " + path);
-  }
-  return true;
+  if (!points.empty()) out << "\n" << indent;
+  out << "]\n";
 }
 
 void write_timeline_counter_events(std::ostream& out,

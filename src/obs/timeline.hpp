@@ -26,9 +26,9 @@
 //   2. *Deterministic at any thread count.*  Tick boundaries are computed
 //      as gate + k * tick with an integer k (no accumulated floating-point
 //      steps), per-shard buffers merge in the same stable (time, shard
-//      index) order as trace::merge_traces / merge_qtrace, and wall-clock
-//      quantities (RSS, events/sec) are deliberately excluded — those live
-//      in the heartbeat channel (behavior/checkpoint), not here.
+//      index) order as trace::merge_traces (obs::merge_by_time), and
+//      wall-clock quantities (RSS, events/sec) are deliberately excluded —
+//      those live in the heartbeat channel (behavior/checkpoint), not here.
 //   3. *Zero-cost when disabled.*  tick_seconds = 0 constructs nothing;
 //      every instrumentation site is a single null-pointer check.
 //
@@ -96,7 +96,7 @@ constexpr bool timeline_series_is_gauge(TimelineSeries series) noexcept {
 }
 
 /// One tick of one shard: the tick's START time (gate + k * tick), the
-/// shard index (assigned by merge_timeline), and one value per series.
+/// shard index (assigned by merge_by_time), and one value per series.
 struct TimelinePoint {
   double time = 0.0;
   std::uint32_t shard = 0;
@@ -112,8 +112,6 @@ bool operator==(const TimelinePoint& a, const TimelinePoint& b) noexcept;
 class TimelineRecorder {
  public:
   explicit TimelineRecorder(const TimelineConfig& config);
-
-  double tick_seconds() const noexcept { return tick_; }
 
   /// Adds `n` to a count series in the tick containing `time`.  Counts
   /// before the gate are dropped.  Times must be non-decreasing (they
@@ -146,14 +144,6 @@ class TimelineRecorder {
   std::vector<TimelinePoint> points_;
 };
 
-/// Merges per-shard buffers (each time-nondecreasing) into one stream in
-/// stable (time, shard index, within-shard position) order — the exact
-/// order trace::merge_traces pins — and stamps each point's `shard`.
-/// Shards of one run share the tick grid, so the merged stream is
-/// (tick 0: shard 0..n-1), (tick 1: shard 0..n-1), ...
-std::vector<TimelinePoint> merge_timeline(
-    std::vector<std::vector<TimelinePoint>> shards);
-
 /// FNV-1a over the serialized point stream: the bit-identity handle the
 /// determinism tests and the CI jobs compare.
 std::uint64_t timeline_digest(const std::vector<TimelinePoint>& points) noexcept;
@@ -185,6 +175,15 @@ void save_timeline(const std::string& path,
 /// on a malformed file.
 bool load_timeline(const std::string& path, std::vector<TimelinePoint>& out,
                    double* tick_seconds = nullptr);
+
+/// The members of one timeline JSON object — "tick_seconds", "series"
+/// (the names, in index order) and "points" (one [time, shard, values...]
+/// row per point) — each line prefixed with `indent`, ending in a
+/// newline.  The --timeline dump and the PipelineReport "timeline" block
+/// both wrap these members in their own braces.
+void write_timeline_json_members(std::ostream& out,
+                                 const std::vector<TimelinePoint>& points,
+                                 double tick_seconds, const char* indent);
 
 /// chrome://tracing counter fragments for the merged stream: "C" events
 /// (pid 3, ts = tick start in simulation microseconds) grouped into three

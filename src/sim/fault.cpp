@@ -3,6 +3,7 @@
 #include <bit>
 
 #include "obs/metrics.hpp"
+#include "util/fnv.hpp"
 
 namespace p2pgen::sim {
 
@@ -20,18 +21,12 @@ void publish_fault_metrics(const FaultCounters& counters) {
 }
 
 std::uint64_t fault_config_digest(const FaultConfig& config) noexcept {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a
-  auto mix = [&hash](std::uint64_t bits) {
-    for (int i = 0; i < 8; ++i) {
-      hash ^= (bits >> (8 * i)) & 0xff;
-      hash *= 0x100000001b3ULL;
-    }
-  };
+  std::uint64_t hash = util::kFnvOffsetBasis;
   for (double field :
        {config.loss_prob, config.corrupt_prob, config.duplicate_prob,
         config.jitter_seconds, config.crash_rate, config.half_open_prob,
         config.half_open_after_mean}) {
-    mix(std::bit_cast<std::uint64_t>(field));
+    hash = util::fnv1a_u64(hash, std::bit_cast<std::uint64_t>(field));
   }
   return hash;
 }

@@ -1,7 +1,6 @@
 #include "trace/spool.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -14,9 +13,10 @@
 
 #include "trace/spool_reader.hpp"
 #include "trace/trace_io.hpp"
+#include "util/crc32.hpp"
+#include "util/durable_file.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
 #include <unistd.h>
 #endif
 
@@ -24,33 +24,6 @@ namespace p2pgen::trace {
 namespace {
 
 namespace fs = std::filesystem;
-
-const std::array<std::uint32_t, 256>& crc_table() {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  return table;
-}
-
-void fsync_directory(const std::string& dir) {
-#if defined(__unix__) || defined(__APPLE__)
-  const int fd = ::open(dir.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
-#else
-  (void)dir;
-#endif
-}
 
 /// Single pass over every segment in index order, built on the
 /// validated-segment reader (spool_reader.hpp) so the scan and any
@@ -97,23 +70,13 @@ SpoolScan scan_spool_impl(const std::string& dir, bool truncate_tail,
     scan.report.records_truncated = 1;  // the torn tail frame
     if (truncate_tail) {
       fs::resize_file(path, seg.valid_end);
-      fsync_directory(dir);
+      (void)util::fsync_directory(dir);
     }
   }
   return scan;
 }
 
 }  // namespace
-
-std::uint32_t crc32(const void* data, std::size_t n) noexcept {
-  const auto& table = crc_table();
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < n; ++i) {
-    crc = table[(crc ^ bytes[i]) & 0xFFu] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
 
 SpoolScan scan_spool(const std::string& dir, bool truncate_tail) {
   return scan_spool_impl(dir, truncate_tail, nullptr);
@@ -258,7 +221,7 @@ std::uint64_t truncate_spool_to_valid_prefix(const std::string& dir) {
     dropped += static_cast<std::uint64_t>(fs::file_size(paths[i]));
     fs::remove(paths[i]);
   }
-  if (cut < paths.size() || dropped > 0) fsync_directory(dir);
+  if (cut < paths.size() || dropped > 0) (void)util::fsync_directory(dir);
   return dropped;
 }
 
@@ -326,7 +289,7 @@ void SpoolWriter::open_segment(std::size_t index, bool fresh) {
     if (std::ferror(f) != 0) {
       throw SpoolWriteError("spool: header write failed: " + path, errno);
     }
-    fsync_directory(dir_);
+    (void)util::fsync_directory(dir_);
   }
 }
 
@@ -343,7 +306,7 @@ void SpoolWriter::append(const TraceEvent& event) {
   frame_buf_.clear();
   append_event_binary(event, frame_buf_);
   const auto len = static_cast<std::uint32_t>(frame_buf_.size());
-  const std::uint32_t crc = crc32(frame_buf_.data(), frame_buf_.size());
+  const std::uint32_t crc = util::crc32(frame_buf_.data(), frame_buf_.size());
   std::FILE* f = impl_->file;
   errno = 0;
   std::fwrite(&len, 1, sizeof(len), f);

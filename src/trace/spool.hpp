@@ -29,27 +29,16 @@
 
 #include "trace/trace.hpp"
 #include "trace/trace_io.hpp"
+#include "util/fnv.hpp"
 
 namespace p2pgen::trace {
 
 struct SegmentReadResult;  // spool_reader.hpp
 
-/// FNV-1a 64-bit, the digest the whole repo uses for byte-identity.
-inline constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ULL;
-inline constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-inline std::uint64_t fnv1a_update(std::uint64_t hash, const void* data,
-                                  std::size_t n) noexcept {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    hash ^= bytes[i];
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
-
-/// CRC32 (IEEE 802.3, the zlib polynomial) of a buffer.
-std::uint32_t crc32(const void* data, std::size_t n) noexcept;
+/// FNV-1a 64-bit (util/fnv.hpp), the digest the whole repo uses for
+/// byte-identity; re-exported here, where the spool digests use it.
+using util::fnv1a_update;
+using util::kFnvOffsetBasis;
 
 struct SpoolConfig {
   /// Records per segment before the writer rolls to a new file.

@@ -10,6 +10,7 @@
 
 #include "trace/spool.hpp"
 #include "trace/trace_io.hpp"
+#include "util/crc32.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
@@ -109,7 +110,7 @@ bool probe_frame(const std::uint8_t* data, std::uint64_t size, std::uint64_t q,
     return false;
   }
   crc_budget -= len;
-  return crc32(data + q + 2 * sizeof(std::uint32_t), len) == crc;
+  return util::crc32(data + q + 2 * sizeof(std::uint32_t), len) == crc;
 }
 
 }  // namespace
@@ -270,7 +271,7 @@ SegmentReadResult read_spool_segment(const std::string& path,
       }
       if (framed) {
         const std::uint8_t* payload = data + pos + kFrameOverhead;
-        if (crc32(payload, len) == crc) {
+        if (util::crc32(payload, len) == crc) {
           const std::uint64_t frame_begin = pos;
           pos += kFrameOverhead + len;
           if (salvage) {

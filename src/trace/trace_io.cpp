@@ -7,6 +7,8 @@
 #include <stdexcept>
 #include <streambuf>
 
+#include "util/fnv.hpp"
+
 namespace p2pgen::trace {
 namespace {
 
@@ -390,22 +392,19 @@ class DigestStreambuf : public std::streambuf {
 
  protected:
   int_type overflow(int_type ch) override {
-    if (ch != traits_type::eof()) mix(static_cast<unsigned char>(ch));
+    if (ch != traits_type::eof()) {
+      const auto byte = static_cast<unsigned char>(ch);
+      hash_ = util::fnv1a_update(hash_, &byte, 1);
+    }
     return ch;
   }
   std::streamsize xsputn(const char* data, std::streamsize n) override {
-    for (std::streamsize i = 0; i < n; ++i) {
-      mix(static_cast<unsigned char>(data[i]));
-    }
+    hash_ = util::fnv1a_update(hash_, data, static_cast<std::size_t>(n));
     return n;
   }
 
  private:
-  void mix(unsigned char byte) noexcept {
-    hash_ ^= byte;
-    hash_ *= 0x100000001b3ULL;  // FNV-1a 64-bit prime
-  }
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;  // FNV offset basis
+  std::uint64_t hash_ = util::kFnvOffsetBasis;
 };
 
 }  // namespace

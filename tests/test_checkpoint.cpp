@@ -9,12 +9,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "behavior/trace_simulation.hpp"
@@ -23,6 +27,7 @@
 #include "stats/rng.hpp"
 #include "trace/spool_reader.hpp"
 #include "trace/trace_io.hpp"
+#include "util/durable_file.hpp"
 
 #if defined(__unix__)
 #include <signal.h>
@@ -169,13 +174,62 @@ TEST(Checkpoint, RunIdentityDigestSeparatesConfigs) {
 TEST(Checkpoint, ConfigAndIdentityDigestsArePinned) {
   // Literal values: the durable-run identity keys every checkpoint and
   // bench cache on disk, so a hash refactor must leave it unchanged.
-  EXPECT_EQ(behavior::simulation_config_digest(behavior::TraceSimulationConfig{}),
+  const behavior::TraceSimulationConfig defaults;
+  const auto model = core::WorkloadModel::paper_default();
+  EXPECT_EQ(behavior::simulation_config_digest(defaults),
             0x3f15df282c4d4ddbULL);
-  EXPECT_EQ(behavior::run_identity_digest(core::WorkloadModel::paper_default(),
-                                          behavior::TraceSimulationConfig{}, 4),
+  EXPECT_EQ(behavior::run_identity_digest(model, defaults, 4),
             0xd5ccf4628932f69aULL);
-  EXPECT_EQ(sim::fault_config_digest(sim::FaultConfig{}), 0x898f07d6f6d89c5bULL);
-  EXPECT_EQ(sim::fault_config_digest(tiny_fault_config().faults), 0x0dc853200b181216ULL);
+  EXPECT_EQ(sim::fault_config_digest(defaults.faults), 0x898f07d6f6d89c5bULL);
+  const auto faulted = tiny_fault_config();
+  EXPECT_EQ(sim::fault_config_digest(faulted.faults), 0x0dc853200b181216ULL);
+}
+
+TEST(DurableReplace, ReplacesTheWholeFileAndLeavesNoTemporary) {
+  const std::string dir = fresh_dir("durable_replace");
+  fs::create_directories(dir);
+  const std::string path = dir + "/file.bin";
+  const auto write = [](const std::string& text) {
+    return [text](std::FILE* file) {
+      std::fwrite(text.data(), 1, text.size(), file);
+    };
+  };
+  util::durable_replace(path, write("a longer first version"));
+  util::durable_replace(path, write("second"));
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  EXPECT_EQ(bytes, "second");
+  EXPECT_FALSE(fs::exists(path + ".tmp"));
+  fs::remove_all(dir);
+}
+
+TEST(DurableReplace, FailuresThrowAndKeepTheOldFile) {
+  const std::string dir = fresh_dir("durable_replace_fail");
+  fs::create_directories(dir);
+  const std::string path = dir + "/file.bin";
+  util::durable_replace(path, [](std::FILE* file) {
+    std::fputs("old", file);
+  });
+  // A writer that fails half-way must leave the old file in place.
+  EXPECT_THROW(util::durable_replace(path,
+                                     [](std::FILE* file) {
+                                       std::fputs("torn", file);
+                                       throw std::runtime_error("boom");
+                                     }),
+               std::runtime_error);
+  std::ifstream in(path, std::ios::binary);
+  std::string bytes;
+  std::getline(in, bytes);
+  EXPECT_EQ(bytes, "old");
+  // A target directory that does not exist is an error with its errno.
+  try {
+    util::durable_replace(dir + "/missing/file.bin", [](std::FILE*) {});
+    FAIL() << "expected std::system_error";
+  } catch (const std::system_error& e) {
+    EXPECT_EQ(e.code().value(), ENOENT);
+  }
+  fs::remove_all(dir);
 }
 
 TEST(Checkpoint, SigkillAtRandomizedPointsThenResumeIsByteIdentical) {

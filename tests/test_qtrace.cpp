@@ -22,6 +22,7 @@
 #include "behavior/checkpoint.hpp"
 #include "behavior/sharded_simulation.hpp"
 #include "obs/metrics.hpp"
+#include "obs/sidecars.hpp"
 #include "trace/spool.hpp"
 #include "trace/trace_io.hpp"
 
@@ -94,7 +95,7 @@ TEST(QtraceMerge, OrdersByTimeThenShardAndStampsShard) {
   shards[1] = {ev(1.0, 20), ev(2.0, 21)};
   shards[2] = {ev(0.5, 30)};
 
-  const auto merged = obs::merge_qtrace(std::move(shards));
+  const auto merged = obs::merge_by_time(std::move(shards));
   ASSERT_EQ(merged.size(), 5u);
   // (0.5, s2), (1.0, s0), (1.0, s1), (2.0, s1), (3.0, s0): ties broken
   // by shard index, like trace::merge_traces.
@@ -202,6 +203,27 @@ TEST(QtraceSidecar, ChecksumTrailerDetectsSingleBitFlips) {
   std::filesystem::resize_file(path, size - 2, ec);
   ASSERT_FALSE(ec);
   EXPECT_THROW(obs::load_qtrace(path, out), std::runtime_error);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(QtraceSidecar, CountTheFileCannotHoldIsRefusedBeforeAllocating) {
+  const std::string dir = ::testing::TempDir() + "/p2pgen_qtrace_count";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = obs::qtrace_sidecar_path(dir);
+  obs::save_qtrace(path, std::vector<obs::QueryHopEvent>(2));
+
+  // Header bytes 8..15 hold the record count; claim 2^40 records.
+  {
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    ASSERT_TRUE(f.is_open());
+    const char count[8] = {0, 0, 0, 0, 0, 1, 0, 0};
+    f.seekp(8);
+    f.write(count, sizeof(count));
+  }
+  std::vector<obs::QueryHopEvent> out;
+  EXPECT_THROW(obs::load_qtrace(path, out), std::runtime_error);
+  EXPECT_TRUE(out.empty());
   std::filesystem::remove_all(dir);
 }
 

@@ -181,10 +181,6 @@ TEST(Streaming, MatchesMaterializedOnFaultedMultiShardSpoolAtAnyThreadCount) {
         spool_dirs, geo::GeoIpDatabase::synthetic(), options);
     SCOPED_TRACE(std::to_string(threads) + " threads");
     expect_streaming_matches(got, want);
-    // The sketches ride along deterministically: one duration sample per
-    // surviving session, one interarrival sample per usable gap.
-    EXPECT_EQ(got.duration_moments.count(), got.duration_sketch.count());
-    EXPECT_GT(got.duration_sketch.count(), 0u);
     // Pass-shape counters that do not depend on the thread count must
     // not either (wave count legitimately does).
     if (threads == 1) {

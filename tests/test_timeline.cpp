@@ -23,6 +23,7 @@
 #include "behavior/checkpoint.hpp"
 #include "behavior/sharded_simulation.hpp"
 #include "obs/metrics.hpp"
+#include "obs/sidecars.hpp"
 #include "trace/spool.hpp"
 #include "trace/trace_io.hpp"
 
@@ -102,7 +103,7 @@ TEST(TimelineMerge, OrdersByTimeThenShardAndStampsShard) {
   shards[1] = {point(0.0), point(10.0)};
   shards[2] = {point(0.0)};
 
-  const auto merged = obs::merge_timeline(std::move(shards));
+  const auto merged = obs::merge_by_time(std::move(shards));
   ASSERT_EQ(merged.size(), 5u);
   // Shards share the tick grid, so the merged stream interleaves
   // (tick 0: shard 0, 1, 2), (tick 1: shard 0, 1).
