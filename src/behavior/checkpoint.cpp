@@ -13,6 +13,7 @@
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 #include <thread>
 
 #include "core/model_io.hpp"
@@ -518,6 +519,17 @@ void run_durable_shards(const core::WorkloadModel& model,
     ++summary.shards_completed_prior;
   };
 
+  // Disk full or another media write error: record why once and ask
+  // every other shard to stop at its next stride.  The spool keeps its
+  // durable prefix; resume continues from there.
+  const auto request_stop = [&stop](int error_code, const char* what) {
+    std::lock_guard<std::mutex> lock(stop.mutex);
+    if (!stop.requested.exchange(true)) {
+      stop.reason = error_code == ENOSPC ? "enospc" : "io-error";
+      stop.detail = what;
+    }
+  };
+
   util::ThreadPool pool(std::min(n_threads, n_shards));
   pool.run_indexed(n_shards, [&](std::size_t k) {
     const unsigned index = static_cast<unsigned>(k);
@@ -603,14 +615,10 @@ void run_durable_shards(const core::WorkloadModel& model,
       manifest.write(durability.dir);
       ++summary.checkpoints_written;
     } catch (const trace::SpoolWriteError& e) {
-      // Disk full or another media write error: record why once, ask
-      // every other shard to stop at its next stride, and unwind.  The
-      // spool keeps its durable prefix; resume continues from there.
-      std::lock_guard<std::mutex> lock(stop.mutex);
-      if (!stop.requested.exchange(true)) {
-        stop.reason = e.error_code() == ENOSPC ? "enospc" : "io-error";
-        stop.detail = e.what();
-      }
+      request_stop(e.error_code(), e.what());
+    } catch (const std::system_error& e) {
+      // A sidecar or MANIFEST rewrite (util::durable_replace) failed.
+      request_stop(e.code().value(), e.what());
     } catch (const ShardStopRequested&) {
       // A sibling recorded the reason; this shard's spool is durable up
       // to its last sync, which is all a clean stop promises.

@@ -680,6 +680,44 @@ TEST(CheckpointSalvage, WriteErrorCheckpointsAndStopsCleanly) {
   EXPECT_TRUE(status.stop_reason.empty());
   fs::remove_all(dir);
 }
+
+TEST(CheckpointSalvage, SidecarWriteErrorCheckpointsAndStopsCleanly) {
+  const auto model = core::WorkloadModel::paper_default();
+  const auto config = sidecar_config();
+  const trace::Trace plain =
+      behavior::simulate_trace_sharded(model, config, 2, 2);
+
+  // A directory where shard 0's qtrace temporary must go: the sidecar
+  // write fails (EISDIR, even as root) the way a full volume would, after
+  // the shard's spool is complete but before the shard is marked done.
+  const std::string dir = fresh_dir("sidecar_stop");
+  const std::string blocker =
+      obs::qtrace_sidecar_path(behavior::checkpoint_shard_dirs(dir, 2)[0]) +
+      ".tmp";
+  fs::create_directories(blocker);
+
+  behavior::DurabilityConfig durability;
+  durability.dir = dir;
+  try {
+    (void)behavior::simulate_trace_durable(model, config, 2, 2, durability);
+    FAIL() << "expected CheckpointStopped";
+  } catch (const behavior::CheckpointStopped& stopped) {
+    EXPECT_EQ(stopped.reason(), "io-error");
+  }
+  behavior::CheckpointStatus status = behavior::read_checkpoint_status(dir);
+  EXPECT_EQ(status.stop_reason, "io-error");
+  EXPECT_FALSE(status.complete);
+
+  fs::remove_all(blocker);
+  durability.resume = true;
+  const trace::Trace resumed =
+      behavior::simulate_trace_durable(model, config, 2, 2, durability);
+  EXPECT_EQ(serialize(resumed), serialize(plain));
+  status = behavior::read_checkpoint_status(dir);
+  EXPECT_TRUE(status.complete);
+  EXPECT_TRUE(status.stop_reason.empty());
+  fs::remove_all(dir);
+}
 #endif  // defined(__unix__)
 
 }  // namespace
