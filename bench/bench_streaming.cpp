@@ -45,6 +45,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "analysis/dataset.hpp"
 #include "analysis/parallel.hpp"
@@ -54,6 +55,7 @@
 #include "obs/metrics.hpp"
 #include "obs/process.hpp"
 #include "scenario/json.hpp"
+#include "trace/spool.hpp"
 #include "trace/trace_io.hpp"
 
 namespace {
@@ -189,9 +191,14 @@ int run_child(const std::string& phase, const std::string& dir) {
   const obs::MetricsSnapshot pre_phase = obs::Registry::global().snapshot();
   const auto t0 = std::chrono::steady_clock::now();
   if (phase == "materialized") {
-    const trace::Trace trace = behavior::simulate_trace_durable(
+    const auto spool_dirs = behavior::simulate_to_spools(
         core::WorkloadModel::paper_default(), config, scale.shards,
         static_cast<unsigned>(scale.threads), durability);
+    std::vector<trace::Trace> shards(spool_dirs.size());
+    for (std::size_t k = 0; k < spool_dirs.size(); ++k) {
+      shards[k] = trace::read_spool(spool_dirs[k]);
+    }
+    const trace::Trace trace = trace::merge_traces(std::move(shards));
     out.events = trace.size();
     out.trace_digest = trace::binary_digest(trace);
     analysis::TraceDataset dataset =

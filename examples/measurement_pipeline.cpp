@@ -12,18 +12,13 @@
 //   $ ./measurement_pipeline [days] [arrival_rate] [faults] [shards]
 //       [threads] [--metrics=<path>] [--trace-json=<path>]
 //       [--checkpoint-dir=<dir>] [--checkpoint-interval=<records>]
-//       [--resume] [--salvage] [--streaming]
+//       [--resume] [--salvage]
 //       [--scenario=<name-or-json-file>]
 //       [--qtrace-sample=<rate>] [--query-trace=<dir>]
 //       [--timeline=<dir>] [--timeline-tick=<secs>] [--heartbeat=<secs>]
 //       [--list-scenarios]
 //
-// --streaming (needs --checkpoint-dir=) runs the one-pass analysis
-// (DESIGN.md §11): shards spool to disk without buffering a trace in
-// memory, and every number below — digest included — is computed by
-// analysis::analyze_spools() streaming over the spool segments.  The
-// output is bit-identical to the materialized pipeline at a fraction of
-// the peak RSS (bench_streaming measures both).
+// An unknown --option prints the usage line and exits with code 2.
 //
 // --scenario=<arg> applies a chaos scenario (src/scenario/) on top of the
 // base configuration: <arg> is either the name of a curated scenario
@@ -41,7 +36,12 @@
 // included — resumes with --resume and produces a trace byte-identical
 // to an uninterrupted one.  --checkpoint-interval sets the fsync cadence
 // in records (default 65536; smaller = less re-simulation after a kill).
-// --resume requires an existing, identity-matching checkpoint.
+// --resume requires an existing, identity-matching checkpoint.  A durable
+// run is analyzed in one pass (DESIGN.md §11): no trace is buffered in
+// memory, and every number below — digest included — is computed by
+// analysis::analyze_spools() streaming over the spool segments.  The
+// output is bit-identical to the in-memory pipeline at a fraction of the
+// peak RSS (bench_streaming measures both).
 //
 // --salvage (needs --checkpoint-dir=) tolerates media damage to the
 // checkpoint with bounded, accounted loss (DESIGN.md §14): damaged
@@ -106,7 +106,6 @@
 #include <vector>
 
 #include "analysis/filters.hpp"
-#include "analysis/gaps.hpp"
 #include "analysis/model_fit.hpp"
 #include "analysis/parallel.hpp"
 #include "analysis/report.hpp"
@@ -127,6 +126,14 @@
 #include "trace/trace_io.hpp"
 
 namespace {
+
+constexpr const char* kUsage =
+    "usage: measurement_pipeline [days] [arrival_rate] [faults] [shards] "
+    "[threads] [--metrics=<path>] [--trace-json=<path>] "
+    "[--checkpoint-dir=<dir>] [--checkpoint-interval=<records>] [--resume] "
+    "[--salvage] [--scenario=<name-or-json-file>] [--qtrace-sample=<rate>] "
+    "[--query-trace=<dir>] [--timeline=<dir>] [--timeline-tick=<secs>] "
+    "[--heartbeat=<secs>] [--list-scenarios]\n";
 
 // One CSV row per (tick, shard): tick bounds, the tick's sim day and hour,
 // and the per-region peak/non-peak band of §4.2 — so the EXPERIMENTS.md
@@ -171,7 +178,6 @@ int main(int argc, char** argv) {
   std::string timeline_dir;
   double qtrace_sample = 0.0;
   double timeline_tick = 0.0;
-  bool streaming_on = false;
   behavior::DurabilityConfig durability;
   std::vector<const char*> args;
   for (int i = 1; i < argc; ++i) {
@@ -188,8 +194,6 @@ int main(int argc, char** argv) {
       durability.resume = true;
     } else if (std::strcmp(argv[i], "--salvage") == 0) {
       durability.salvage = true;
-    } else if (std::strcmp(argv[i], "--streaming") == 0) {
-      streaming_on = true;
     } else if (std::strncmp(argv[i], "--scenario=", 11) == 0) {
       scenario_arg = argv[i] + 11;
     } else if (std::strncmp(argv[i], "--qtrace-sample=", 16) == 0) {
@@ -215,17 +219,17 @@ int main(int argc, char** argv) {
       }
       std::cout << "\n";
       return 0;
+    } else if (std::strncmp(argv[i], "--", 2) == 0) {
+      std::cerr << "measurement_pipeline: unknown option '" << argv[i]
+                << "'\n"
+                << kUsage;
+      return 2;
     } else {
       args.push_back(argv[i]);
     }
   }
   if (durability.resume && durability.dir.empty()) {
     std::cerr << "measurement_pipeline: --resume needs --checkpoint-dir=\n";
-    return 1;
-  }
-  if (streaming_on && durability.dir.empty()) {
-    std::cerr << "measurement_pipeline: --streaming needs --checkpoint-dir= "
-                 "(the spool is the streaming pass's input)\n";
     return 1;
   }
   if (durability.salvage && durability.dir.empty()) {
@@ -316,18 +320,19 @@ int main(int argc, char** argv) {
   std::vector<behavior::ShardStats> shard_stats;
   std::vector<obs::QueryHopEvent> qtrace;
   std::vector<obs::TimelinePoint> timeline;
-  // Salvage loss accounting: filled by whichever durable path ran (empty
+  // Salvage loss accounting: filled by the durable run's analysis (empty
   // without --salvage or with a clean checkpoint).
   trace::SalvageReport salvage_report;
   // Snapshot before any simulation runs: the robustness rows below are
   // read as a delta against this baseline, so they count only what THIS
   // run's shards published (not whatever else shares the registry).
   const obs::MetricsSnapshot pre_sim_snapshot = obs::Registry::global().snapshot();
-  // The single-vantage-point path keeps the full per-node robustness
-  // counters, which a merged multi-shard trace no longer has one node for.
+  // The single-vantage-point path owns its one simulation, whose fault
+  // and shed counters feed the robustness rows (shards report theirs in
+  // ShardStats).
   std::unique_ptr<behavior::TraceSimulation> simulation;
   std::optional<analysis::StreamingResult> streaming;
-  if (streaming_on) {
+  if (!durability.dir.empty()) {
     behavior::RecoverySummary recovery;
     try {
       const auto spool_dirs = behavior::simulate_to_spools(
@@ -358,8 +363,8 @@ int main(int argc, char** argv) {
       return 1;
     }
     salvage_report = std::move(streaming->salvage);
-    // Mirror the materialized path's merge counter so the metric surface
-    // the equivalence CI diffs is the same on both.
+    // Mirror the in-memory path's merge counter so the metric surface the
+    // equivalence CI diffs is the same on both.
     obs::Registry::global().counter("sim.merged_events").add(streaming->events);
     qtrace = std::move(streaming->qtrace);
     timeline = std::move(streaming->timeline);
@@ -368,34 +373,6 @@ int main(int argc, char** argv) {
               << " wave(s), max open sessions "
               << streaming->streaming.max_open_sessions << " (tracked "
               << streaming->streaming.max_tracked_sessions << ")\n";
-  } else if (!durability.dir.empty()) {
-    behavior::RecoverySummary recovery;
-    try {
-      trace = behavior::simulate_trace_durable(
-          core::WorkloadModel::paper_default(), config, shards, threads,
-          durability, &recovery, &shard_stats, &qtrace, &timeline);
-    } catch (const behavior::CheckpointStopped& e) {
-      // Clean stop (disk full / write error): durable state is intact
-      // and the MANIFEST records why.  EX_TEMPFAIL tells supervisors
-      // (tools/supervise.py) this is retryable with --resume.
-      std::cerr << "measurement_pipeline: " << e.what() << "\n";
-      return 75;
-    } catch (const std::exception& e) {
-      // Identity mismatch / missing checkpoint: refuse cleanly instead
-      // of splicing incompatible runs (or dumping a raw terminate).
-      std::cerr << "measurement_pipeline: " << e.what() << "\n";
-      return 1;
-    }
-    salvage_report = std::move(recovery.salvage);
-    std::cout << "  checkpoint dir:      " << durability.dir << "\n"
-              << "  recovery: " << recovery.records_recovered
-              << " records recovered, " << recovery.records_truncated
-              << " truncated (" << recovery.bytes_truncated << " bytes), "
-              << recovery.events_replayed << " events replayed, "
-              << recovery.shards_completed_prior
-              << " shard(s) loaded complete, " << recovery.sidecars_rebuilt
-              << " sidecar set(s) rebuilt, " << recovery.spools_reset
-              << " spool(s) reset\n";
   } else if (shards > 1) {
     trace = behavior::simulate_trace_sharded(core::WorkloadModel::paper_default(),
                                              config, shards, threads,
@@ -430,7 +407,7 @@ int main(int argc, char** argv) {
       streaming ? streaming->events : trace.size();
   // The byte-identity handle: grep-able by the kill-and-resume and
   // streaming-equivalence CI jobs, equal across thread counts, across
-  // SIGKILL + --resume, and across --streaming vs materialized.
+  // SIGKILL + --resume, and across durable vs in-memory runs.
   std::cout << "  trace digest:        " << std::hex << std::setfill('0')
             << std::setw(16) << trace_digest << std::dec
             << std::setfill(' ') << "\n";
@@ -455,7 +432,7 @@ int main(int argc, char** argv) {
               << " sampled queries (rate " << config.qtrace.sample_rate
               << ")\n";
   }
-  // The tick width actually in effect: the flag, or — on a streaming
+  // The tick width actually in effect: the flag, or — on a durable
   // resume over spools recorded with timelines on — the sidecars' own.
   const double timeline_tick_effective =
       streaming && streaming->timeline_tick_seconds > 0.0
@@ -474,46 +451,20 @@ int main(int argc, char** argv) {
   analysis::RobustnessReport robustness;
   if (simulation) {
     robustness.injected = simulation->fault_counters();
-    robustness.transport_delivered = simulation->network().messages_delivered();
-    robustness.transport_dropped = simulation->network().messages_dropped();
-    robustness.decode_errors = simulation->node().decode_errors();
-    robustness.clean_bytes_before_error =
-        simulation->node().clean_bytes_before_error();
-    robustness.forward_retries = simulation->node().forward_retries();
-    robustness.forward_retries_exhausted =
-        simulation->node().forward_retries_exhausted();
     robustness.shed_connections = simulation->node().shed_connections();
     robustness.shed_queries = simulation->node().shed_queries();
     robustness.outage_crashes = simulation->outage_crashes();
-  } else {
-    for (const auto& s : shard_stats) {
-      robustness.injected.messages_lost += s.faults.messages_lost;
-      robustness.injected.messages_corrupted += s.faults.messages_corrupted;
-      robustness.injected.messages_duplicated += s.faults.messages_duplicated;
-      robustness.injected.messages_delayed += s.faults.messages_delayed;
-      robustness.injected.node_crashes += s.faults.node_crashes;
-      robustness.injected.half_open_links += s.faults.half_open_links;
-      robustness.injected.sends_into_dead_link += s.faults.sends_into_dead_link;
-      robustness.shed_connections += s.shed_connections;
-      robustness.shed_queries += s.shed_queries;
-      robustness.outage_crashes += s.outage_crashes;
-    }
-    // ShardStats only carries fault counters; the transport and node
-    // totals of the merged run come from the metrics registry, where
-    // every shard's simulation published them.  Read as a delta against
-    // the pre-simulation baseline so only this run's contribution counts.
-    const auto snapshot = obs::Registry::global().delta(pre_sim_snapshot);
-    robustness.transport_delivered =
-        snapshot.counter_value("transport.messages_delivered");
-    robustness.transport_dropped =
-        snapshot.counter_value("transport.messages_dropped");
-    robustness.decode_errors = snapshot.counter_value("node.decode_errors");
-    robustness.clean_bytes_before_error =
-        snapshot.counter_value("node.clean_bytes_before_error");
-    robustness.forward_retries = snapshot.counter_value("node.forward_retries");
-    robustness.forward_retries_exhausted =
-        snapshot.counter_value("node.forward_retries_exhausted");
   }
+  for (const auto& s : shard_stats) {
+    robustness.injected += s.faults;
+    robustness.shed_connections += s.shed_connections;
+    robustness.shed_queries += s.shed_queries;
+    robustness.outage_crashes += s.outage_crashes;
+  }
+  // The transport and node totals come from the metrics registry, where
+  // every simulation published them.  Read as a delta against the
+  // pre-simulation baseline so only this run's contribution counts.
+  robustness.fill_from_metrics(obs::Registry::global().delta(pre_sim_snapshot));
   if (streaming) {
     // The streaming pass already counted every SessionEnd by reason —
     // exactly what add_trace() derives from a materialized trace.
@@ -548,14 +499,6 @@ int main(int argc, char** argv) {
   } else {
     dataset.emplace(
         analysis::build_dataset(trace, geo::GeoIpDatabase::synthetic()));
-    if (durability.salvage) {
-      // Sessions overlapping a salvaged gap window are censored BEFORE
-      // the filter rules: counted into the report, never mixed into the
-      // measures.  (The streaming path censors identically at emission.)
-      const analysis::GapIndex gaps(salvage_report);
-      analysis::censor_dataset(*dataset, gaps, salvage_report);
-      analysis::publish_salvage_metrics(salvage_report);
-    }
     report = analysis::apply_filters(*dataset);
   }
   if (durability.salvage && salvage_report.damaged()) {

@@ -231,6 +231,16 @@ void RobustnessReport::add_trace(const trace::Trace& trace) {
   }
 }
 
+void RobustnessReport::fill_from_metrics(const obs::MetricsSnapshot& delta) {
+  transport_delivered = delta.counter_value("transport.messages_delivered");
+  transport_dropped = delta.counter_value("transport.messages_dropped");
+  decode_errors = delta.counter_value("node.decode_errors");
+  clean_bytes_before_error = delta.counter_value("node.clean_bytes_before_error");
+  forward_retries = delta.counter_value("node.forward_retries");
+  forward_retries_exhausted =
+      delta.counter_value("node.forward_retries_exhausted");
+}
+
 bool RobustnessReport::any_faults() const noexcept {
   return injected.messages_lost > 0 || injected.messages_corrupted > 0 ||
          injected.messages_duplicated > 0 || injected.messages_delayed > 0 ||

@@ -75,6 +75,11 @@ struct RobustnessReport {
   /// Accumulates the end-reason mix from a recorded trace.
   void add_trace(const trace::Trace& trace);
 
+  /// Sets the transport and node rows from the "transport.*" and "node.*"
+  /// counters of `delta` — a Registry::delta() around a run, which is how
+  /// a multi-shard run (one node per shard) totals them.
+  void fill_from_metrics(const obs::MetricsSnapshot& delta);
+
   /// True when any fault fired or any hardening path ran.
   bool any_faults() const noexcept;
 };

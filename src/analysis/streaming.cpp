@@ -10,7 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/gaps.hpp"
 #include "gnutella/message.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sidecars.hpp"
@@ -22,6 +21,21 @@
 
 namespace p2pgen::analysis {
 namespace {
+
+/// Publishes `salvage.*` counters to the global registry.  Only when the
+/// report shows damage: a clean salvage run exposes the exact same metric
+/// surface as a strict run (part of the bit-identical contract).
+void publish_salvage_metrics(const trace::SalvageReport& report) {
+  if (!report.damaged()) return;
+  auto& registry = obs::Registry::global();
+  if (!registry.enabled()) return;
+  registry.counter("salvage.ranges").add(report.ranges.size());
+  registry.counter("salvage.frames_lost").add(report.frames_lost);
+  registry.counter("salvage.bytes_quarantined").add(report.bytes_quarantined);
+  registry.counter("salvage.records_recovered").add(report.records_recovered);
+  registry.counter("salvage.censored_sessions").add(report.censored_sessions);
+  registry.counter("salvage.censored_queries").add(report.censored_queries);
+}
 
 /// One spool segment after its parallel decode: the events and the
 /// canonicalized keyword strings of hop-1 queries (canonical_keywords
@@ -387,7 +401,7 @@ class StreamingPass {
   }
 
   /// True when the session overlaps a salvage gap window of its shard
-  /// (open-interval, exactly GapIndex::intersects).  During the pass this
+  /// (open interval; a still-open window ends at +inf).  During the pass this
   /// peeks at the assembler's in-progress report: a window discovered
   /// later starts at or after this session's end (spool records are in
   /// time order), which the open-interval test can never match — so the
@@ -415,7 +429,7 @@ class StreamingPass {
   /// filter rules, then every measure accumulator, in SessionStart order.
   /// Sessions overlapping a salvage gap are censored instead: counted,
   /// then dropped before any filter or measure sees them — identical to
-  /// censor_dataset() running ahead of apply_filters materialized.
+  /// censoring the materialized dataset ahead of apply_filters.
   void emit(ObservedSession& session) {
     if (gap_censored(session)) {
       ++censored_sessions_;

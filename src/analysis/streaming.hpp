@@ -63,8 +63,9 @@ struct StreamingOptions {
   /// Salvage mode (DESIGN.md §14): read the spools with
   /// trace::SpoolReadMode::kSalvage — interior damage and missing segment
   /// files become accounted gap windows instead of a thrown TraceIoError,
-  /// sessions overlapping a window are censored out of the filters and
-  /// fits (gaps.hpp), and the loss lands in StreamingResult::salvage.
+  /// sessions overlapping a window of their shard (open interval) are
+  /// censored out of the filters and fits, and the loss lands in
+  /// StreamingResult::salvage.
   /// With a clean spool this path is bit-identical to the default.
   bool salvage = false;
 };
@@ -117,16 +118,17 @@ struct StreamingResult {
   /// Merged query-lifecycle hop events, read back from the per-shard
   /// "qtrace.bin" sidecars the durable runner writes (empty when no
   /// sidecar exists — tracing was off).  Merged in the same (time,
-  /// shard) order as the materialized path, so the published qtrace
-  /// aggregates are identical to simulate_trace_durable's.
+  /// shard) order as the in-memory path, so the published qtrace
+  /// aggregates are identical to simulate_trace_sharded's.
   std::vector<obs::QueryHopEvent> qtrace;
 
   /// Loss accounting of a salvage-mode pass: the gap windows the spool
   /// reader quarantined (ranges tagged by shard, merged in shard order)
   /// plus the sessions/queries censored from the analysis because they
   /// overlapped one.  Empty when options.salvage was off or the spools
-  /// were clean.  Matches the materialized path's report (RecoverySummary
-  /// salvage + censor_dataset counters) for identical damage.
+  /// were clean.  Matches the materialized reading (per-shard
+  /// read_spool_salvage reports, sessions censored from the dataset) for
+  /// identical damage.
   trace::SalvageReport salvage;
 
   /// Merged sim-time timeline ticks, read back from the per-shard

@@ -22,6 +22,7 @@
 #include "obs/sidecars.hpp"
 #include "obs/span.hpp"
 #include "sim/simulator.hpp"
+#include "trace/spool_reader.hpp"
 #include "trace/trace_io.hpp"
 #include "util/durable_file.hpp"
 #include "util/fnv.hpp"
@@ -144,14 +145,12 @@ struct StopState {
 /// refuse rather than splice two different traces together.
 class DurableSink final : public trace::TraceSink {
  public:
-  /// `trace` may be null: the spool-only (streaming) path keeps nothing
-  /// in memory and the spool is the sole output.  `progress` may be null:
-  /// with a heartbeat running it receives relaxed sim-time/event samples.
-  DurableSink(trace::Trace* trace, trace::SpoolWriter& writer,
-              unsigned shard_index, ShardProgress* progress = nullptr,
+  /// `progress` may be null: with a heartbeat running it receives relaxed
+  /// sim-time/event samples.
+  DurableSink(trace::SpoolWriter& writer, unsigned shard_index,
+              ShardProgress* progress = nullptr,
               const std::atomic<bool>* stop_requested = nullptr)
-      : trace_(trace),
-        writer_(writer),
+      : writer_(writer),
         prefix_records_(writer.durable_records()),
         prefix_digest_(writer.open_digest()),
         shard_index_(shard_index),
@@ -172,7 +171,6 @@ class DurableSink final : public trace::TraceSink {
         throw ShardStopRequested{};
       }
     }
-    if (trace_ != nullptr) trace_->append(event);
     if (replayed_ < prefix_records_) {
       encode_buf_.clear();
       trace::append_event_binary(event, encode_buf_);
@@ -192,7 +190,6 @@ class DurableSink final : public trace::TraceSink {
   std::uint64_t replayed() const noexcept { return replayed_; }
 
  private:
-  trace::Trace* trace_;
   trace::SpoolWriter& writer_;
   std::uint64_t prefix_records_;
   std::uint64_t prefix_digest_;
@@ -402,22 +399,34 @@ void publish_recovery_metrics(const RecoverySummary& summary) {
   registry.counter("recovery.spools_reset").add(summary.spools_reset);
 }
 
-/// The shared durable shard runner.  With `shards_out` it behaves like
-/// the classic durable path (completed shards loaded from their spools,
-/// running shards buffered in memory while they spool); without it the
-/// spools are the only output — completed shards are not even opened,
-/// and the simulation streams through a trace-less DurableSink.
-void run_durable_shards(const core::WorkloadModel& model,
-                        const TraceSimulationConfig& base, unsigned n_shards,
-                        unsigned n_threads, const DurabilityConfig& durability,
-                        RecoverySummary* summary_out,
-                        std::vector<ShardStats>& shard_stats,
-                        std::vector<trace::Trace>* shards_out) {
+/// Strict resume refuses a done shard whose spool has a torn tail: the
+/// spool was fsync'd before the MANIFEST marked the shard done, so
+/// completed data should never tear, yet the analysis pass would take
+/// the tear for an ordinary crash tail.  Read-only, and only the last
+/// segment: damage to an earlier one is the analysis pass's strict error.
+void refuse_torn_done_spool(const std::string& spool_dir, std::size_t k) {
+  const std::vector<std::string> segments = trace::spool_segment_paths(spool_dir);
+  if (segments.empty()) return;
+  const trace::SegmentReadResult last = trace::read_spool_segment(
+      segments.back(), /*allow_damage=*/true, nullptr, nullptr);
+  if (last.torn) {
+    throw std::runtime_error("checkpoint: completed shard " + std::to_string(k) +
+                             " has a torn spool — completed data should "
+                             "never tear");
+  }
+}
+
+}  // namespace
+
+std::vector<std::string> simulate_to_spools(
+    const core::WorkloadModel& model, const TraceSimulationConfig& base,
+    unsigned n_shards, unsigned n_threads, const DurabilityConfig& durability,
+    RecoverySummary* summary_out, std::vector<ShardStats>* stats_out) {
   if (n_shards == 0) {
-    throw std::invalid_argument("simulate_trace_durable: n_shards must be > 0");
+    throw std::invalid_argument("simulate_to_spools: n_shards must be > 0");
   }
   if (durability.dir.empty()) {
-    throw std::invalid_argument("simulate_trace_durable: empty checkpoint dir");
+    throw std::invalid_argument("simulate_to_spools: empty checkpoint dir");
   }
   obs::ObsSpan span("sim.durable");
   fs::create_directories(durability.dir);
@@ -458,16 +467,12 @@ void run_durable_shards(const core::WorkloadModel& model,
     ++summary.checkpoints_written;
   }
 
-  if (shards_out != nullptr) shards_out->resize(n_shards);
-  shard_stats.assign(n_shards, ShardStats{});
+  std::vector<ShardStats> shard_stats(n_shards);
   const obs::SidecarSet sidecars(base.qtrace, base.timeline);
   const double horizon =
       (base.warmup_days + base.duration_days) * sim::kSecondsPerDay;
   std::mutex manifest_mutex;  // guards manifest + summary
   StopState stop;
-  // Per-shard salvage reports, merged in shard order after the pool so
-  // the combined range list is deterministic at any thread count.
-  std::vector<trace::SalvageReport> shard_salvage(n_shards);
 
   std::unique_ptr<HeartbeatWriter> heartbeat;
   if (durability.heartbeat_interval_seconds > 0.0) {
@@ -487,32 +492,9 @@ void run_durable_shards(const core::WorkloadModel& model,
   };
 
   // Finishes a shard that is not simulated: its spool (fsync'd before the
-  // manifest marked it done) already holds the whole shard trace.  Spool-
-  // only mode reads nothing — the streaming analysis validates the
-  // segments in its own single pass.
-  const auto load_done_shard = [&](std::size_t k, bool salvage) {
-    const std::string spool_dir =
-        shard_dir(durability.dir, static_cast<unsigned>(k));
-    if (shards_out != nullptr && salvage) {
-      trace::SalvageReport report;
-      (*shards_out)[k] = trace::read_spool_salvage(spool_dir, &report);
-      shard_stats[k].events = (*shards_out)[k].size();
-      std::lock_guard<std::mutex> lock(manifest_mutex);
-      summary.records_recovered += report.records_recovered;
-      shard_salvage[k] = std::move(report);
-    } else if (shards_out != nullptr) {
-      trace::SpoolRecoveryReport report;
-      (*shards_out)[k] = trace::read_spool(spool_dir, &report);
-      if (report.torn) {
-        throw std::runtime_error(
-            "checkpoint: completed shard " + std::to_string(k) +
-            " has a torn spool — completed data should never tear");
-      }
-      shard_stats[k].events = (*shards_out)[k].size();
-      std::lock_guard<std::mutex> lock(manifest_mutex);
-      summary.segments_scanned += report.segments_scanned;
-      summary.records_recovered += report.records_recovered;
-    }
+  // manifest marked it done) already holds the whole shard trace, which
+  // the streaming analysis validates in its own single pass.
+  const auto finish_done_shard = [&](std::size_t k) {
     beat_done(k);
     std::lock_guard<std::mutex> lock(manifest_mutex);
     ++summary.checkpoints_loaded;
@@ -535,22 +517,22 @@ void run_durable_shards(const core::WorkloadModel& model,
     const unsigned index = static_cast<unsigned>(k);
     const std::string spool_dir = shard_dir(durability.dir, index);
 
-    // Done shards normally load from their spool + sidecars and return.
-    // A damaged sidecar drops through to the simulate path below, which
-    // deterministically rebuilds it by replaying the shard (both sidecars
-    // are pure functions of (model, config, shard seed)).
+    // Done shards normally keep their spool + sidecars as they are and
+    // return.  A damaged sidecar drops through to the simulate path
+    // below, which deterministically rebuilds it by replaying the shard
+    // (both sidecars are pure functions of (model, config, shard seed)).
     bool rebuilding_sidecars = false;
     if (manifest.done[k]) {
       shard_stats[k].seed = shard_seed(base.seed, index);
-      // Probe the sidecars first (cheap CRC pass): if one is damaged the
-      // spool is consumed by the replay-rebuild instead of read here.  A
-      // checkpoint written before a stream was on simply has no sidecar
-      // for it; the shard contributes nothing to that stream, exactly as
-      // the streaming replay will also conclude.
-      rebuilding_sidecars =
-          !obs::load_sidecars(spool_dir, sidecars, shard_stats[k].observed);
+      // Probe the sidecars (cheap CRC pass; the streaming pass reads them
+      // again).  A checkpoint written before a stream was on simply has
+      // no sidecar for it; the shard contributes nothing to that stream,
+      // exactly as the streaming replay will also conclude.
+      obs::ObserverStreams probe;
+      rebuilding_sidecars = !obs::load_sidecars(spool_dir, sidecars, probe);
       if (!rebuilding_sidecars) {
-        load_done_shard(k, durability.salvage);
+        if (!durability.salvage) refuse_torn_done_spool(spool_dir, k);
+        finish_done_shard(k);
         return;
       }
       std::lock_guard<std::mutex> lock(manifest_mutex);
@@ -582,7 +564,7 @@ void run_durable_shards(const core::WorkloadModel& model,
         // The best recoverable state is empty sidecars — the loss is
         // already accounted by the spool's salvage report.
         obs::save_sidecars(spool_dir, sidecars, {});
-        load_done_shard(k, /*salvage=*/true);
+        finish_done_shard(k);
         return;
       }
       {
@@ -594,19 +576,17 @@ void run_durable_shards(const core::WorkloadModel& model,
         if (writer->durable_records() > 0) ++summary.checkpoints_loaded;
       }
 
-      DurableSink sink(shards_out != nullptr ? &(*shards_out)[k] : nullptr,
-                       *writer, index,
+      DurableSink sink(*writer, index,
                        heartbeat != nullptr ? &heartbeat->shard(k) : nullptr,
                        &stop.requested);
       simulate_shard_into(model, base, index, sink, &shard_stats[k]);
       writer->close();  // final fsync: the shard's redo log is complete
       // The sidecars are durable (file and directory fsync'd) before the
       // manifest marks the shard done, so a done shard always has its
-      // (possibly empty) sidecars next to its spool.  Spool-only mode
-      // drops the in-memory copy right away: the streaming pass reads the
-      // sidecars back from disk.
+      // (possibly empty) sidecars next to its spool.  The in-memory copy
+      // goes right away: the streaming pass reads the sidecars back.
       obs::save_sidecars(spool_dir, sidecars, shard_stats[k].observed);
-      if (shards_out == nullptr) shard_stats[k].observed = {};
+      shard_stats[k].observed = {};
       beat_done(k);
 
       std::lock_guard<std::mutex> lock(manifest_mutex);
@@ -627,12 +607,6 @@ void run_durable_shards(const core::WorkloadModel& model,
   util::publish_pool_stats("pool.sim", pool.stats());
   obs::Registry::global().counter("sim.shards_run").add(n_shards);
   if (heartbeat != nullptr) heartbeat->stop();  // final (completed) beat
-
-  // Merge per-shard salvage reports in shard order: deterministic range
-  // ordering at any thread count.
-  for (unsigned k = 0; k < n_shards; ++k) {
-    summary.salvage.merge_shard(std::move(shard_salvage[k]), k);
-  }
 
   if (stop.requested.load(std::memory_order_relaxed)) {
     std::string reason;
@@ -662,9 +636,9 @@ void run_durable_shards(const core::WorkloadModel& model,
 
   publish_recovery_metrics(summary);
   if (summary_out != nullptr) *summary_out = summary;
+  if (stats_out != nullptr) *stats_out = std::move(shard_stats);
+  return checkpoint_shard_dirs(durability.dir, n_shards);
 }
-
-}  // namespace
 
 std::uint64_t run_identity_digest(const core::WorkloadModel& model,
                                   const TraceSimulationConfig& config,
@@ -704,40 +678,6 @@ void write_checkpoint_stop_reason(const std::string& dir,
   manifest.stop_reason = reason;
   manifest.stop_detail = detail;
   manifest.write(dir);
-}
-
-trace::Trace simulate_trace_durable(const core::WorkloadModel& model,
-                                    const TraceSimulationConfig& base,
-                                    unsigned n_shards, unsigned n_threads,
-                                    const DurabilityConfig& durability,
-                                    RecoverySummary* summary_out,
-                                    std::vector<ShardStats>* stats,
-                                    std::vector<obs::QueryHopEvent>* qtrace,
-                                    std::vector<obs::TimelinePoint>* timeline) {
-  std::vector<trace::Trace> shards;
-  std::vector<ShardStats> shard_stats;
-  run_durable_shards(model, base, n_shards, n_threads, durability, summary_out,
-                     shard_stats, &shards);
-
-  // Same merge + publish as simulate_trace_sharded: resumed shards
-  // contribute the sidecar streams recovered above, fresh shards the ones
-  // they just recorded, so an interrupted-and-resumed run's merged streams
-  // are identical to an uninterrupted one's.
-  trace::Trace merged =
-      merge_shards(base, std::move(shards), shard_stats, qtrace, timeline);
-  if (stats != nullptr) *stats = std::move(shard_stats);
-  return merged;
-}
-
-std::vector<std::string> simulate_to_spools(
-    const core::WorkloadModel& model, const TraceSimulationConfig& base,
-    unsigned n_shards, unsigned n_threads, const DurabilityConfig& durability,
-    RecoverySummary* summary_out, std::vector<ShardStats>* stats) {
-  std::vector<ShardStats> shard_stats;
-  run_durable_shards(model, base, n_shards, n_threads, durability, summary_out,
-                     shard_stats, /*shards_out=*/nullptr);
-  if (stats != nullptr) *stats = std::move(shard_stats);
-  return checkpoint_shard_dirs(durability.dir, n_shards);
 }
 
 std::vector<std::string> checkpoint_shard_dirs(const std::string& dir,

@@ -8,15 +8,17 @@
 // into an fsync'd per-shard spool; a MANIFEST records the run identity
 // and which shards finished.  After a crash — SIGKILL included — resume
 //
-//   * loads finished shards wholly from their spools (no re-simulation),
+//   * leaves finished shards' spools as they are (no re-simulation),
 //   * re-simulates unfinished shards from scratch, digest-verifying the
 //     replayed prefix against the durable prefix recovered from the
 //     spool, then appending beyond it,
 //
-// and the merged trace is byte-identical to an uninterrupted run, at any
-// thread count.  A torn spool tail (the unsynced final frame) is
+// and the spools hold byte-for-byte the trace of an uninterrupted run, at
+// any thread count.  A torn spool tail (the unsynced final frame) is
 // truncated by the recovery scan; at most that one record is re-written
-// by replay, never lost.
+// by replay, never lost.  The spools plus their sidecars are the run's
+// only output: the streaming analysis (analysis/streaming.hpp) reads
+// them in one pass.
 #pragma once
 
 #include <string>
@@ -62,11 +64,11 @@ struct DurabilityConfig {
   /// Salvage mode (DESIGN.md §14): tolerate media damage with bounded,
   /// *accounted* loss instead of refusing to run.  A damaged spool of an
   /// unfinished shard is truncated to its clean prefix and re-simulated
-  /// (no loss at all); a damaged spool of a *finished* shard is read in
-  /// salvage mode — the lost frames and their sim-time gap windows land
-  /// in RecoverySummary::salvage for the analysis layer to censor
-  /// against.  With zero damage this path is bit-identical to the
-  /// default strict one.
+  /// (no loss at all); a damaged spool of a *finished* shard is kept, for
+  /// the salvage-mode analysis to read around — the lost frames and their
+  /// sim-time gap windows land in StreamingResult::salvage, and the
+  /// sessions they touch are censored.  With zero damage this path is
+  /// bit-identical to the default strict one.
   bool salvage = false;
 };
 
@@ -82,9 +84,6 @@ struct RecoverySummary {
   std::uint64_t shards_completed_prior = 0;  ///< loaded wholly from spool
   std::uint64_t sidecars_rebuilt = 0;    ///< damaged sidecars regenerated
   std::uint64_t spools_reset = 0;  ///< damaged unfinished spools truncated
-  /// Loss accounting from salvage-mode reads of finished shards' spools
-  /// (ranges tagged with their shard; empty when nothing was damaged).
-  trace::SalvageReport salvage;
 };
 
 /// Thrown when the durable run checkpoints and stops *cleanly* instead
@@ -134,42 +133,30 @@ std::uint64_t run_identity_digest(const core::WorkloadModel& model,
 /// True when `dir` holds a MANIFEST from a previous durable run.
 bool checkpoint_exists(const std::string& dir);
 
-/// Drop-in durable variant of simulate_trace_sharded: same merged trace,
-/// byte-identical to the non-durable path, but every shard's events are
-/// spooled to disk and completed shards are recorded in the MANIFEST so
-/// a killed run resumes instead of restarting.  Publishes "recovery.*"
-/// counters to the obs registry.  Throws std::runtime_error when
-/// `durability.resume` is set but no checkpoint exists, or when the
-/// existing checkpoint's identity does not match (model/config/shards).
+/// The durable run: every shard's events end up in its fsync'd spool
+/// under `durability.dir`, and completed shards are recorded in the
+/// MANIFEST so a killed run resumes instead of restarting.  No shard
+/// trace is materialized in memory — peak RSS stays O(one shard's live
+/// simulation), not O(trace).  Shards already marked done are not
+/// re-read (in strict mode only their last segment is checked for a torn
+/// tail, which is refused); the streaming analysis validates their
+/// spools in its own single pass.  Publishes "recovery.*" counters to the
+/// obs registry.  Returns the per-shard spool directories in shard order
+/// (what analyze_spools expects).
 ///
-/// Query-lifecycle tracing (base.qtrace.sample_rate > 0): each shard's
-/// hop events are written to a "qtrace.bin" sidecar next to its spool,
+/// Throws std::runtime_error when `durability.resume` is set but no
+/// checkpoint exists, when the existing checkpoint's identity does not
+/// match (model/config/shards), or when a replayed prefix diverges from
+/// its spool; throws CheckpointStopped on a clean stop.
+///
+/// Query-lifecycle tracing (base.qtrace.sample_rate > 0) and sim-time
+/// timelines (base.timeline.tick_seconds > 0): each shard's streams are
+/// written to "qtrace.bin" / "timeline.bin" sidecars next to its spool,
 /// fsync'd with its directory before the MANIFEST marks the shard done
-/// (obs/sidecars.hpp), and done shards load theirs back on resume — so
-/// the merged stream (published to the obs registry; optionally returned
-/// via `qtrace`) is identical whether or not the run was interrupted.  A done shard without a sidecar (written
-/// before tracing, or at rate 0) contributes no events; keep the
-/// sampling flags consistent across resume for meaningful aggregates.
-///
-/// Sim-time timelines (base.timeline.tick_seconds > 0) follow the exact
-/// same sidecar protocol with "timeline.bin": made durable before the
-/// shard is marked done, reloaded for done shards on resume, merged
-/// in (time, shard) order and published — identical across interruption.
-trace::Trace simulate_trace_durable(
-    const core::WorkloadModel& model, const TraceSimulationConfig& base,
-    unsigned n_shards, unsigned n_threads, const DurabilityConfig& durability,
-    RecoverySummary* summary = nullptr, std::vector<ShardStats>* stats = nullptr,
-    std::vector<obs::QueryHopEvent>* qtrace = nullptr,
-    std::vector<obs::TimelinePoint>* timeline = nullptr);
-
-/// The durable run without the merge: every shard's events end up in its
-/// fsync'd spool (resume semantics identical to simulate_trace_durable),
-/// but NO shard trace is materialized in memory — the producer half of
-/// the streaming pipeline, whose peak RSS must stay O(one shard's live
-/// simulation), not O(trace).  Shards already marked done in the MANIFEST
-/// are not even re-read here; the streaming analysis validates their
-/// spools in its own single pass.  Returns the per-shard spool
-/// directories in shard order (what analyze_spools expects).
+/// (obs/sidecars.hpp).  A done shard whose sidecar is damaged is replayed
+/// to rebuild it; one without a sidecar (written before that stream was
+/// on) contributes no records to it, so keep the sampling flags
+/// consistent across resume for meaningful aggregates.
 std::vector<std::string> simulate_to_spools(
     const core::WorkloadModel& model, const TraceSimulationConfig& base,
     unsigned n_shards, unsigned n_threads, const DurabilityConfig& durability,

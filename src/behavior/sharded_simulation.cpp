@@ -35,29 +35,6 @@ void fill_stats(ShardStats& stats, TraceSimulation& simulation,
 
 }  // namespace
 
-trace::Trace merge_shards(const TraceSimulationConfig& base,
-                          std::vector<trace::Trace> shards,
-                          std::vector<ShardStats>& stats,
-                          std::vector<obs::QueryHopEvent>* qtrace,
-                          std::vector<obs::TimelinePoint>* timeline) {
-  trace::Trace merged;
-  {
-    obs::ObsSpan span("trace.merge");
-    merged = trace::merge_traces(std::move(shards));
-  }
-  obs::Registry::global().counter("sim.merged_events").add(merged.size());
-
-  std::vector<obs::ObserverStreams> observed(stats.size());
-  for (std::size_t k = 0; k < stats.size(); ++k) {
-    observed[k] = std::move(stats[k].observed);
-  }
-  obs::ObserverStreams streams = obs::merge_and_publish(
-      obs::SidecarSet(base.qtrace, base.timeline), std::move(observed));
-  if (qtrace != nullptr) *qtrace = std::move(streams.qtrace);
-  if (timeline != nullptr) *timeline = std::move(streams.timeline);
-  return merged;
-}
-
 std::uint64_t shard_seed(std::uint64_t master_seed,
                          unsigned shard_index) noexcept {
   return stats::derive_stream_seed(master_seed, kShardStreamTag + shard_index);
@@ -120,8 +97,21 @@ trace::Trace simulate_trace_sharded(const core::WorkloadModel& model,
   util::publish_pool_stats("pool.sim", pool.stats());
   obs::Registry::global().counter("sim.shards_run").add(n_shards);
 
-  trace::Trace merged =
-      merge_shards(base, std::move(shards), shard_stats, qtrace, timeline);
+  trace::Trace merged;
+  {
+    obs::ObsSpan span("trace.merge");
+    merged = trace::merge_traces(std::move(shards));
+  }
+  obs::Registry::global().counter("sim.merged_events").add(merged.size());
+
+  std::vector<obs::ObserverStreams> observed(n_shards);
+  for (std::size_t k = 0; k < n_shards; ++k) {
+    observed[k] = std::move(shard_stats[k].observed);
+  }
+  obs::ObserverStreams streams = obs::merge_and_publish(
+      obs::SidecarSet(base.qtrace, base.timeline), std::move(observed));
+  if (qtrace != nullptr) *qtrace = std::move(streams.qtrace);
+  if (timeline != nullptr) *timeline = std::move(streams.timeline);
   if (stats != nullptr) *stats = std::move(shard_stats);
   return merged;
 }

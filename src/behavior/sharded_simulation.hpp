@@ -95,14 +95,4 @@ trace::Trace simulate_trace_sharded(
     std::vector<obs::QueryHopEvent>* qtrace = nullptr,
     std::vector<obs::TimelinePoint>* timeline = nullptr);
 
-/// The merge step the sharded entry points share: merges the shard traces
-/// (trace::merge_traces), moves every shard's observer streams out of
-/// `stats`, merges and publishes the streams `base` turns on, and hands
-/// the merged streams to the non-null outputs.
-trace::Trace merge_shards(const TraceSimulationConfig& base,
-                          std::vector<trace::Trace> shards,
-                          std::vector<ShardStats>& stats,
-                          std::vector<obs::QueryHopEvent>* qtrace,
-                          std::vector<obs::TimelinePoint>* timeline);
-
 }  // namespace p2pgen::behavior

@@ -23,12 +23,6 @@ std::string hex_digest(std::uint64_t digest) {
   return out.str();
 }
 
-std::uint64_t counter_delta(const obs::MetricsSnapshot& before,
-                            const obs::MetricsSnapshot& after,
-                            const std::string& name) {
-  return after.counter_value(name) - before.counter_value(name);
-}
-
 void json_escape(std::ostream& out, const std::string& s) {
   out << '"';
   for (const char c : s) {
@@ -103,33 +97,13 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunConfig& run) {
     for (std::size_t r = 0; r < outcome.session_ends.size(); ++r) {
       outcome.session_ends[r] += s.session_ends[r];
     }
-    outcome.robustness.injected.messages_lost += s.faults.messages_lost;
-    outcome.robustness.injected.messages_corrupted += s.faults.messages_corrupted;
-    outcome.robustness.injected.messages_duplicated +=
-        s.faults.messages_duplicated;
-    outcome.robustness.injected.messages_delayed += s.faults.messages_delayed;
-    outcome.robustness.injected.node_crashes += s.faults.node_crashes;
-    outcome.robustness.injected.half_open_links += s.faults.half_open_links;
-    outcome.robustness.injected.sends_into_dead_link +=
-        s.faults.sends_into_dead_link;
+    outcome.robustness.injected += s.faults;
   }
 
   // Transport and node rows come from the registry delta around this run
   // (the matrix runs scenarios sequentially, so the delta is this
   // scenario's own contribution).
-  const auto after = obs::Registry::global().snapshot();
-  outcome.robustness.transport_delivered =
-      counter_delta(before, after, "transport.messages_delivered");
-  outcome.robustness.transport_dropped =
-      counter_delta(before, after, "transport.messages_dropped");
-  outcome.robustness.decode_errors =
-      counter_delta(before, after, "node.decode_errors");
-  outcome.robustness.clean_bytes_before_error =
-      counter_delta(before, after, "node.clean_bytes_before_error");
-  outcome.robustness.forward_retries =
-      counter_delta(before, after, "node.forward_retries");
-  outcome.robustness.forward_retries_exhausted =
-      counter_delta(before, after, "node.forward_retries_exhausted");
+  outcome.robustness.fill_from_metrics(obs::Registry::global().delta(before));
   outcome.robustness.shed_connections = outcome.shed_connections;
   outcome.robustness.shed_queries = outcome.shed_queries;
   outcome.robustness.outage_crashes = outcome.outage_crashes;

@@ -193,16 +193,6 @@ geo::Region parse_region(const std::string& name) {
       "\" (known: north_america, europe, asia, other)");
 }
 
-const char* region_json_name(geo::Region region) noexcept {
-  switch (region) {
-    case geo::Region::kNorthAmerica: return "north_america";
-    case geo::Region::kEurope: return "europe";
-    case geo::Region::kAsia: return "asia";
-    case geo::Region::kOther: return "other";
-  }
-  return "other";
-}
-
 void ScenarioSpec::validate() const {
   if (name.empty()) fail("\"name\" must not be empty");
   if (duration_days && !(*duration_days > 0.0)) fail("\"duration_days\" must be > 0");

@@ -88,9 +88,8 @@ struct ScenarioSpec {
 std::uint64_t scenario_digest(const ScenarioSpec& spec,
                               const behavior::TraceSimulationConfig& base);
 
-/// Region name used by the JSON form and reports: "north_america",
-/// "europe", "asia", "other".  parse throws std::invalid_argument.
+/// Region from its JSON-form name: "north_america", "europe", "asia",
+/// "other".  Throws std::invalid_argument on any other name.
 geo::Region parse_region(const std::string& name);
-const char* region_json_name(geo::Region region) noexcept;
 
 }  // namespace p2pgen::scenario

@@ -43,15 +43,12 @@ SearchOutcome FloodSearch::search(PeerId origin, ContentKey key, double now) {
     }
   }
 
-  if (outcome.found) {
-    ++total_found_;
-    if (caching) {
-      // Responses travel the reverse path; the requester and its first
-      // hop learn the answer.
-      caches_[origin][key] = now + config_.cache_ttl;
-      for (PeerId u : overlay_.neighbors(origin)) {
-        caches_[u][key] = now + config_.cache_ttl;
-      }
+  if (outcome.found && caching) {
+    // Responses travel the reverse path; the requester and its first hop
+    // learn the answer.
+    caches_[origin][key] = now + config_.cache_ttl;
+    for (PeerId u : overlay_.neighbors(origin)) {
+      caches_[u][key] = now + config_.cache_ttl;
     }
   }
   total_messages_ += outcome.messages;

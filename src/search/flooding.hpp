@@ -37,7 +37,6 @@ class FloodSearch {
   /// Aggregate counters across all searches so far.
   std::uint64_t total_messages() const noexcept { return total_messages_; }
   std::uint64_t total_queries() const noexcept { return total_queries_; }
-  std::uint64_t total_found() const noexcept { return total_found_; }
 
  private:
   const Overlay& overlay_;
@@ -46,7 +45,6 @@ class FloodSearch {
   std::vector<std::unordered_map<ContentKey, double>> caches_;  // expiry
   std::uint64_t total_messages_ = 0;
   std::uint64_t total_queries_ = 0;
-  std::uint64_t total_found_ = 0;
   // scratch buffers reused across searches (avoids per-query allocation)
   std::vector<char> seen_;
   std::vector<std::pair<PeerId, int>> frontier_;

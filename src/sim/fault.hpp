@@ -68,6 +68,18 @@ struct FaultCounters {
   std::uint64_t node_crashes = 0;         ///< peers killed abruptly
   std::uint64_t half_open_links = 0;      ///< directions silently killed
   std::uint64_t sends_into_dead_link = 0; ///< sends swallowed by crash/half-open
+
+  /// Field-wise sum, for totals over shards.
+  FaultCounters& operator+=(const FaultCounters& other) noexcept {
+    messages_lost += other.messages_lost;
+    messages_corrupted += other.messages_corrupted;
+    messages_duplicated += other.messages_duplicated;
+    messages_delayed += other.messages_delayed;
+    node_crashes += other.node_crashes;
+    half_open_links += other.half_open_links;
+    sends_into_dead_link += other.sends_into_dead_link;
+    return *this;
+  }
 };
 
 /// Adds a run's fault counters to the global obs registry under

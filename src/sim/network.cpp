@@ -129,7 +129,6 @@ ConnId Network::connect(NodeId a, NodeId b) {
   }
   const ConnId id = next_conn_id_++;
   connections_[id] = Connection{a, b, true};
-  ++open_count_;
   sim_.schedule_after(config_.latency_seconds, [this, id, a, b] {
     const auto it = connections_.find(id);
     if (it == connections_.end() || !it->second.open) return;
@@ -160,7 +159,6 @@ void Network::close(ConnId conn) {
   // notification — a BYE sent immediately before close() must be seen by
   // the other end, as it would be on a real connection.
   c.open = false;
-  --open_count_;
   const NodeId a = c.a;
   const NodeId b = c.b;
   // The teardown notification queues behind every descriptor already

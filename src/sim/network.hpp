@@ -161,7 +161,6 @@ class Network {
   std::uint64_t messages_delivered() const noexcept { return messages_delivered_; }
   std::uint64_t messages_dropped() const noexcept { return messages_dropped_; }
   std::uint64_t wire_bytes() const noexcept { return wire_bytes_; }
-  std::size_t open_connections() const noexcept { return open_count_; }
 
  private:
   struct Connection {
@@ -200,7 +199,6 @@ class Network {
   std::uint64_t messages_delivered_ = 0;
   std::uint64_t messages_dropped_ = 0;
   std::uint64_t wire_bytes_ = 0;
-  std::size_t open_count_ = 0;
 };
 
 }  // namespace p2pgen::sim

@@ -158,8 +158,6 @@ class Mixture final : public Distribution {
   std::string name() const override;
 
   double weight_a() const noexcept { return weight_a_; }
-  const Distribution& component_a() const noexcept { return *a_; }
-  const Distribution& component_b() const noexcept { return *b_; }
 
  private:
   double weight_a_;

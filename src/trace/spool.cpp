@@ -25,6 +25,15 @@ namespace {
 
 namespace fs = std::filesystem;
 
+/// fsyncs `dir` after an entry in it was created, truncated or removed.
+/// Returns the errno to report, or 0.  EINVAL means the file system
+/// cannot sync directories at all, which util::durable_replace tolerates
+/// too.
+int sync_spool_directory(const std::string& dir) {
+  const int err = util::fsync_directory(dir);
+  return err == EINVAL ? 0 : err;
+}
+
 /// Single pass over every segment in index order, built on the
 /// validated-segment reader (spool_reader.hpp) so the scan and any
 /// consumer share one read of the bytes.
@@ -70,7 +79,11 @@ SpoolScan scan_spool_impl(const std::string& dir, bool truncate_tail,
     scan.report.records_truncated = 1;  // the torn tail frame
     if (truncate_tail) {
       fs::resize_file(path, seg.valid_end);
-      (void)util::fsync_directory(dir);
+      if (const int err = sync_spool_directory(dir); err != 0) {
+        throw TraceIoError("spool: directory fsync failed after truncating " +
+                               path + ": " + std::strerror(err),
+                           seg.valid_end);
+      }
     }
   }
   return scan;
@@ -221,7 +234,13 @@ std::uint64_t truncate_spool_to_valid_prefix(const std::string& dir) {
     dropped += static_cast<std::uint64_t>(fs::file_size(paths[i]));
     fs::remove(paths[i]);
   }
-  if (cut < paths.size() || dropped > 0) (void)util::fsync_directory(dir);
+  if (cut < paths.size() || dropped > 0) {
+    if (const int err = sync_spool_directory(dir); err != 0) {
+      throw TraceIoError("spool: directory fsync failed after truncating " +
+                             dir + ": " + std::strerror(err),
+                         0);
+    }
+  }
   return dropped;
 }
 
@@ -289,7 +308,9 @@ void SpoolWriter::open_segment(std::size_t index, bool fresh) {
     if (std::ferror(f) != 0) {
       throw SpoolWriteError("spool: header write failed: " + path, errno);
     }
-    (void)util::fsync_directory(dir_);
+    if (const int err = sync_spool_directory(dir_); err != 0) {
+      throw SpoolWriteError("spool: directory fsync failed: " + dir_, err);
+    }
   }
 }
 

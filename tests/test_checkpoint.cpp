@@ -1,9 +1,10 @@
 // Recovery suite for the deterministic checkpoint layer (DESIGN.md §9).
 // The contract under test: a durable run SIGKILLed at ANY point and then
-// resumed produces a merged trace byte-identical to an uninterrupted
-// run, at any thread count — the spool is the redo log, the manifest
-// pins run identity, and the replayed prefix is digest-verified against
-// the durable one.  Also covers the neighbor-churn self-healing of the
+// resumed leaves spools whose merged trace is byte-identical to an
+// uninterrupted run, at any thread count — the spool is the redo log, the
+// manifest pins run identity, and the replayed prefix is digest-verified
+// against the durable one.  The spools are read back through the
+// materialized oracle (durable_oracle.hpp).  Also covers the neighbor-churn self-healing of the
 // measurement node (deterministic, counted, off by default).
 #include "behavior/checkpoint.hpp"
 
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "behavior/trace_simulation.hpp"
+#include "durable_oracle.hpp"
 #include "obs/qtrace.hpp"
 #include "obs/timeline.hpp"
 #include "stats/rng.hpp"
@@ -78,10 +80,11 @@ TEST(Checkpoint, DurableRunMatchesPlainRunAtAnyThreadCount) {
         fresh_dir("threads" + std::to_string(threads));
     behavior::DurabilityConfig durability;
     durability.dir = dir;
-    behavior::RecoverySummary summary;
-    const trace::Trace durable = behavior::simulate_trace_durable(
-        model, config, 3, threads, durability, &summary);
-    EXPECT_EQ(serialize(durable), serialize(plain)) << threads << " threads";
+    const oracle::DurableRun durable =
+        oracle::run_durable(model, config, 3, threads, durability);
+    const behavior::RecoverySummary& summary = durable.summary;
+    EXPECT_EQ(serialize(durable.trace), serialize(plain))
+        << threads << " threads";
     // A fresh run recovers nothing and replays nothing.
     EXPECT_EQ(summary.records_recovered, 0u);
     EXPECT_EQ(summary.events_replayed, 0u);
@@ -99,21 +102,25 @@ TEST(Checkpoint, ResumeFromCompletedCheckpointLoadsWithoutResimulating) {
 
   behavior::DurabilityConfig durability;
   durability.dir = dir;
-  const trace::Trace first =
-      behavior::simulate_trace_durable(model, config, 2, 2, durability);
+  const oracle::DurableRun first =
+      oracle::run_durable(model, config, 2, 2, durability);
   ASSERT_TRUE(behavior::checkpoint_exists(dir));
+  ASSERT_EQ(first.stats.size(), 2u);
+  EXPECT_EQ(first.stats[0].events + first.stats[1].events, first.trace.size());
 
   durability.resume = true;
-  behavior::RecoverySummary summary;
-  std::vector<behavior::ShardStats> stats;
-  const trace::Trace second = behavior::simulate_trace_durable(
-      model, config, 2, 2, durability, &summary, &stats);
-  EXPECT_EQ(serialize(second), serialize(first));
+  const oracle::DurableRun second =
+      oracle::run_durable(model, config, 2, 2, durability);
+  const behavior::RecoverySummary& summary = second.summary;
+  EXPECT_EQ(serialize(second.trace), serialize(first.trace));
   EXPECT_EQ(summary.shards_completed_prior, 2u);
+  EXPECT_EQ(summary.checkpoints_loaded, 2u);
   EXPECT_EQ(summary.events_replayed, 0u);
-  EXPECT_EQ(summary.records_recovered, first.size());
-  ASSERT_EQ(stats.size(), 2u);
-  EXPECT_EQ(stats[0].events + stats[1].events, first.size());
+  // Done shards are not re-read: the analysis validates their spools.
+  EXPECT_EQ(summary.records_recovered, 0u);
+  EXPECT_EQ(summary.segments_scanned, 0u);
+  ASSERT_EQ(second.stats.size(), 2u);
+  EXPECT_EQ(second.stats[1].seed, first.stats[1].seed);
   fs::remove_all(dir);
 }
 
@@ -122,8 +129,8 @@ TEST(Checkpoint, ResumeWithoutACheckpointIsRefused) {
   behavior::DurabilityConfig durability;
   durability.dir = fresh_dir("norun");
   durability.resume = true;
-  EXPECT_THROW(behavior::simulate_trace_durable(
-                   model, tiny_fault_config(), 2, 1, durability),
+  EXPECT_THROW(behavior::simulate_to_spools(model, tiny_fault_config(), 2, 1,
+                                            durability),
                std::runtime_error);
 }
 
@@ -133,24 +140,22 @@ TEST(Checkpoint, MismatchedIdentityIsRefused) {
   const std::string dir = fresh_dir("identity");
   behavior::DurabilityConfig durability;
   durability.dir = dir;
-  (void)behavior::simulate_trace_durable(model, config, 2, 2, durability);
+  (void)behavior::simulate_to_spools(model, config, 2, 2, durability);
 
   // A different seed is a different run: resuming must refuse rather
   // than splice two different traces together.
   auto other = config;
   other.seed += 1;
-  EXPECT_THROW(
-      behavior::simulate_trace_durable(model, other, 2, 2, durability),
-      std::runtime_error);
+  EXPECT_THROW(behavior::simulate_to_spools(model, other, 2, 2, durability),
+               std::runtime_error);
   // So is a different shard count.
-  EXPECT_THROW(
-      behavior::simulate_trace_durable(model, config, 3, 2, durability),
-      std::runtime_error);
+  EXPECT_THROW(behavior::simulate_to_spools(model, config, 3, 2, durability),
+               std::runtime_error);
   // Identity covers the fault layer too.
   auto faultless = config;
   faultless.faults = sim::FaultConfig{};
   EXPECT_THROW(
-      behavior::simulate_trace_durable(model, faultless, 2, 2, durability),
+      behavior::simulate_to_spools(model, faultless, 2, 2, durability),
       std::runtime_error);
   fs::remove_all(dir);
 }
@@ -256,8 +261,7 @@ TEST(Checkpoint, SigkillAtRandomizedPointsThenResumeIsByteIdentical) {
       // Child: run to completion unless the parent kills us first.  Any
       // failure must not look like a pass.
       try {
-        (void)behavior::simulate_trace_durable(model, config, 2, 2,
-                                               durability);
+        (void)behavior::simulate_to_spools(model, config, 2, 2, durability);
         _exit(0);
       } catch (...) {
         _exit(1);
@@ -274,22 +278,21 @@ TEST(Checkpoint, SigkillAtRandomizedPointsThenResumeIsByteIdentical) {
                 (WIFEXITED(status) && WEXITSTATUS(status) == 0));
   }
 
-  behavior::RecoverySummary summary;
-  const trace::Trace resumed = behavior::simulate_trace_durable(
-      model, config, 2, 2, durability, &summary);
-  EXPECT_EQ(serialize(resumed), expected);
-  // The kills above land mid-run with overwhelming probability, so the
-  // resume should have found durable state; records_truncated stays
-  // within one torn frame per shard per scan by construction (asserted
-  // structurally in test_spool, not re-counted here).
-  EXPECT_GT(summary.segments_scanned, 0u);
+  const oracle::DurableRun resumed =
+      oracle::run_durable(model, config, 2, 2, durability);
+  EXPECT_EQ(serialize(resumed.trace), expected);
+  // The rounds leave durable state behind (a synced spool prefix, or a
+  // shard already marked done), and the resume must have found it;
+  // records_truncated stays within one torn frame per shard per scan by
+  // construction (asserted structurally in test_spool, not re-counted
+  // here).
+  EXPECT_GT(resumed.summary.checkpoints_loaded, 0u);
 
   // And a second resume sees both shards complete.
-  behavior::RecoverySummary again;
-  const trace::Trace reloaded = behavior::simulate_trace_durable(
-      model, config, 2, 2, durability, &again);
-  EXPECT_EQ(serialize(reloaded), expected);
-  EXPECT_EQ(again.shards_completed_prior, 2u);
+  const oracle::DurableRun reloaded =
+      oracle::run_durable(model, config, 2, 2, durability);
+  EXPECT_EQ(serialize(reloaded.trace), expected);
+  EXPECT_EQ(reloaded.summary.shards_completed_prior, 2u);
   fs::remove_all(dir);
 }
 #endif  // defined(__unix__)
@@ -368,14 +371,14 @@ TEST(Replenish, DurableRunWithReplenishStillResumesByteIdentical) {
   const std::string dir = fresh_dir("replenish");
   behavior::DurabilityConfig durability;
   durability.dir = dir;
-  const trace::Trace durable =
-      behavior::simulate_trace_durable(model, config, 2, 2, durability);
-  EXPECT_EQ(serialize(durable), serialize(plain));
+  EXPECT_EQ(
+      serialize(oracle::run_durable(model, config, 2, 2, durability).trace),
+      serialize(plain));
 
   durability.resume = true;
-  const trace::Trace resumed =
-      behavior::simulate_trace_durable(model, config, 2, 2, durability);
-  EXPECT_EQ(serialize(resumed), serialize(plain));
+  EXPECT_EQ(
+      serialize(oracle::run_durable(model, config, 2, 2, durability).trace),
+      serialize(plain));
   fs::remove_all(dir);
 }
 
@@ -435,11 +438,11 @@ TEST(CheckpointSalvage, DamagedSidecarsAreRebuiltDeterministically) {
   const std::string dir = fresh_dir("sidecar");
   behavior::DurabilityConfig durability;
   durability.dir = dir;
-  std::vector<obs::QueryHopEvent> qtrace_first;
-  std::vector<obs::TimelinePoint> timeline_first;
-  const trace::Trace first = behavior::simulate_trace_durable(
-      model, config, 2, 2, durability, nullptr, nullptr, &qtrace_first,
-      &timeline_first);
+  const oracle::DurableRun first =
+      oracle::run_durable(model, config, 2, 2, durability);
+  const std::vector<obs::QueryHopEvent>& qtrace_first = first.streams.qtrace;
+  const std::vector<obs::TimelinePoint>& timeline_first =
+      first.streams.timeline;
   ASSERT_FALSE(qtrace_first.empty());
   ASSERT_FALSE(timeline_first.empty());
 
@@ -453,16 +456,17 @@ TEST(CheckpointSalvage, DamagedSidecarsAreRebuiltDeterministically) {
   flip_byte(timeline_path, fs::file_size(timeline_path) / 2, 0x40);
 
   durability.resume = true;
-  behavior::RecoverySummary summary;
-  std::vector<obs::QueryHopEvent> qtrace_second;
-  std::vector<obs::TimelinePoint> timeline_second;
-  const trace::Trace second = behavior::simulate_trace_durable(
-      model, config, 2, 2, durability, &summary, nullptr, &qtrace_second,
-      &timeline_second);
-  EXPECT_EQ(serialize(second), serialize(first));
-  EXPECT_EQ(summary.sidecars_rebuilt, 1u);  // one shard, both its sidecars
-  EXPECT_GT(summary.events_replayed, 0u);   // the rebuild is a real replay
-  EXPECT_FALSE(summary.salvage.damaged());
+  const oracle::DurableRun second =
+      oracle::run_durable(model, config, 2, 2, durability);
+  const std::vector<obs::QueryHopEvent>& qtrace_second = second.streams.qtrace;
+  const std::vector<obs::TimelinePoint>& timeline_second =
+      second.streams.timeline;
+  EXPECT_EQ(serialize(second.trace), serialize(first.trace));
+  // One shard, both its sidecars.
+  EXPECT_EQ(second.summary.sidecars_rebuilt, 1u);
+  // The rebuild is a real replay.
+  EXPECT_GT(second.summary.events_replayed, 0u);
+  EXPECT_FALSE(second.salvage.damaged());
 
   // The rebuilt streams are value-identical: compare their canonical
   // serialized form.
@@ -477,8 +481,7 @@ TEST(CheckpointSalvage, DamagedSidecarsAreRebuiltDeterministically) {
 
   // The rebuild rewrote valid sidecars: a further resume loads cleanly.
   behavior::RecoverySummary again;
-  (void)behavior::simulate_trace_durable(model, config, 2, 2, durability,
-                                         &again);
+  (void)behavior::simulate_to_spools(model, config, 2, 2, durability, &again);
   EXPECT_EQ(again.sidecars_rebuilt, 0u);
   EXPECT_EQ(again.shards_completed_prior, 2u);
   fs::remove_all(dir);
@@ -490,7 +493,7 @@ TEST(CheckpointSalvage, StopReasonRoundTripsAndResumeClearsIt) {
   const std::string dir = fresh_dir("stopreason");
   behavior::DurabilityConfig durability;
   durability.dir = dir;
-  (void)behavior::simulate_trace_durable(model, config, 2, 1, durability);
+  (void)behavior::simulate_to_spools(model, config, 2, 1, durability);
 
   behavior::write_checkpoint_stop_reason(dir, "enospc",
                                          "spool: short write (disk full?)");
@@ -504,7 +507,7 @@ TEST(CheckpointSalvage, StopReasonRoundTripsAndResumeClearsIt) {
   // Resuming a stopped run means the operator fixed the cause; a stale
   // stop must not spook the next runwatch/supervise.
   durability.resume = true;
-  (void)behavior::simulate_trace_durable(model, config, 2, 1, durability);
+  (void)behavior::simulate_to_spools(model, config, 2, 1, durability);
   status = behavior::read_checkpoint_status(dir);
   EXPECT_TRUE(status.complete);
   EXPECT_TRUE(status.stop_reason.empty());
@@ -518,25 +521,24 @@ TEST(CheckpointSalvage, CleanCheckpointSalvageResumeIsBitIdenticalToStrict) {
   const std::string dir = fresh_dir("salvage_clean");
   behavior::DurabilityConfig durability;
   durability.dir = dir;
-  const trace::Trace first =
-      behavior::simulate_trace_durable(model, config, 3, 2, durability);
+  const std::string first = serialize(
+      oracle::run_durable(model, config, 3, 2, durability).trace);
 
   durability.resume = true;
   for (const unsigned threads : {1u, 2u, 8u}) {
     behavior::DurabilityConfig strict = durability;
-    const trace::Trace a = behavior::simulate_trace_durable(model, config, 3,
-                                                            threads, strict);
+    const oracle::DurableRun a =
+        oracle::run_durable(model, config, 3, threads, strict);
     behavior::DurabilityConfig salvage = durability;
     salvage.salvage = true;
-    behavior::RecoverySummary summary;
-    const trace::Trace b = behavior::simulate_trace_durable(
-        model, config, 3, threads, salvage, &summary);
-    EXPECT_EQ(serialize(a), serialize(first)) << threads << " threads";
-    EXPECT_EQ(serialize(b), serialize(first)) << threads << " threads";
-    EXPECT_FALSE(summary.salvage.damaged());
-    EXPECT_EQ(summary.salvage.frames_lost, 0u);
-    EXPECT_EQ(summary.spools_reset, 0u);
-    EXPECT_EQ(summary.sidecars_rebuilt, 0u);
+    const oracle::DurableRun b =
+        oracle::run_durable(model, config, 3, threads, salvage);
+    EXPECT_EQ(serialize(a.trace), first) << threads << " threads";
+    EXPECT_EQ(serialize(b.trace), first) << threads << " threads";
+    EXPECT_FALSE(b.salvage.damaged());
+    EXPECT_EQ(b.salvage.frames_lost, 0u);
+    EXPECT_EQ(b.summary.spools_reset, 0u);
+    EXPECT_EQ(b.summary.sidecars_rebuilt, 0u);
   }
   fs::remove_all(dir);
 }
@@ -548,7 +550,7 @@ TEST(CheckpointSalvage, DamagedDoneSpoolLosesOnlyTheDamagedFrame) {
   behavior::DurabilityConfig durability;
   durability.dir = dir;
   const trace::Trace first =
-      behavior::simulate_trace_durable(model, config, 2, 2, durability);
+      oracle::run_durable(model, config, 2, 2, durability).trace;
 
   // One corrupted payload byte in an interior frame of shard 1's spool.
   const std::string shard1 = behavior::checkpoint_shard_dirs(dir, 2)[1];
@@ -559,32 +561,72 @@ TEST(CheckpointSalvage, DamagedDoneSpoolLosesOnlyTheDamagedFrame) {
 
   // Strict resume refuses: a completed shard's spool must never tear.
   durability.resume = true;
-  EXPECT_THROW(
-      behavior::simulate_trace_durable(model, config, 2, 2, durability),
-      std::runtime_error);
+  EXPECT_THROW(behavior::simulate_to_spools(model, config, 2, 2, durability),
+               std::runtime_error);
 
   // Salvage resume completes with exactly that frame's record lost, the
   // loss quarantined and tagged with its shard and sim-time gap window.
   durability.salvage = true;
-  behavior::RecoverySummary summary;
-  const trace::Trace salvaged = behavior::simulate_trace_durable(
-      model, config, 2, 2, durability, &summary);
-  EXPECT_EQ(salvaged.size(), first.size() - 1);
-  EXPECT_TRUE(summary.salvage.damaged());
-  EXPECT_EQ(summary.salvage.frames_lost, 1u);
-  ASSERT_EQ(summary.salvage.ranges.size(), 1u);
-  const trace::SalvageRange& range = summary.salvage.ranges[0];
+  const oracle::DurableRun salvaged =
+      oracle::run_durable(model, config, 2, 2, durability);
+  EXPECT_EQ(salvaged.trace.size(), first.size() - 1);
+  EXPECT_TRUE(salvaged.salvage.damaged());
+  EXPECT_EQ(salvaged.salvage.frames_lost, 1u);
+  ASSERT_EQ(salvaged.salvage.ranges.size(), 1u);
+  const trace::SalvageRange& range = salvaged.salvage.ranges[0];
   EXPECT_EQ(range.shard, 1u);
   EXPECT_EQ(range.byte_begin, offset);
   EXPECT_EQ(range.byte_end, offset + frame_size);
   EXPECT_LE(range.time_before, range.time_after);
 
   // The same damage salvages identically on a second resume.
-  behavior::RecoverySummary again;
-  const trace::Trace repeat = behavior::simulate_trace_durable(
-      model, config, 2, 2, durability, &again);
-  EXPECT_EQ(serialize(repeat), serialize(salvaged));
-  EXPECT_EQ(again.salvage.frames_lost, 1u);
+  const oracle::DurableRun repeat =
+      oracle::run_durable(model, config, 2, 2, durability);
+  EXPECT_EQ(serialize(repeat.trace), serialize(salvaged.trace));
+  EXPECT_EQ(repeat.salvage.frames_lost, 1u);
+  fs::remove_all(dir);
+}
+
+TEST(CheckpointSalvage, TornDoneSpoolIsRefusedUnlessSalvaging) {
+  const auto model = core::WorkloadModel::paper_default();
+  const auto config = tiny_fault_config();
+  const std::string dir = fresh_dir("torn_done");
+  behavior::DurabilityConfig durability;
+  durability.dir = dir;
+  const trace::Trace first =
+      oracle::run_durable(model, config, 2, 2, durability).trace;
+
+  // Tear the last frame of shard 0's last segment, as a crash between
+  // write and fsync would — except this shard is marked done.
+  const std::string shard0 = behavior::checkpoint_shard_dirs(dir, 2)[0];
+  const std::string segment = trace::spool_segment_paths(shard0).back();
+  std::vector<char> bytes = read_bytes(segment);
+  ASSERT_GT(bytes.size(), trace::kSpoolHeaderBytes + 3);
+  bytes.resize(bytes.size() - 3);
+  write_bytes(segment, bytes);
+
+  // The readers alone take the tear for an ordinary crash tail ...
+  trace::SpoolRecoveryReport report;
+  (void)trace::read_spool(shard0, &report);
+  EXPECT_TRUE(report.torn);
+
+  // ... so the strict resume is what refuses it: completed data should
+  // never tear.
+  durability.resume = true;
+  EXPECT_THROW(behavior::simulate_to_spools(model, config, 2, 2, durability),
+               std::runtime_error);
+
+  // Salvage accepts the done shard as it is, and the torn frame is
+  // accounted as loss, not re-simulated.
+  durability.salvage = true;
+  const oracle::DurableRun salvaged =
+      oracle::run_durable(model, config, 2, 2, durability);
+  EXPECT_EQ(salvaged.summary.shards_completed_prior, 2u);
+  EXPECT_EQ(salvaged.summary.events_replayed, 0u);
+  EXPECT_EQ(salvaged.trace.size(), first.size() - 1);
+  EXPECT_EQ(salvaged.salvage.frames_lost, 1u);
+  ASSERT_EQ(salvaged.salvage.ranges.size(), 1u);
+  EXPECT_EQ(salvaged.salvage.ranges[0].shard, 0u);
   fs::remove_all(dir);
 }
 
@@ -596,7 +638,7 @@ TEST(CheckpointSalvage, DamagedUnfinishedSpoolIsTruncatedAndResimulated) {
   durability.dir = dir;
   durability.segment_max_records = 512;  // several segments per shard
   const trace::Trace first =
-      behavior::simulate_trace_durable(model, config, 2, 2, durability);
+      oracle::run_durable(model, config, 2, 2, durability).trace;
 
   // Rewrite the MANIFEST with shard 1 no longer done (as if the run was
   // killed mid-shard), then damage an interior segment of its spool.
@@ -618,21 +660,19 @@ TEST(CheckpointSalvage, DamagedUnfinishedSpoolIsTruncatedAndResimulated) {
 
   // Strict resume refuses the interior damage outright.
   durability.resume = true;
-  EXPECT_THROW(
-      behavior::simulate_trace_durable(model, config, 2, 2, durability),
-      std::runtime_error);
+  EXPECT_THROW(behavior::simulate_to_spools(model, config, 2, 2, durability),
+               std::runtime_error);
 
   // Salvage resume truncates the unfinished spool to its clean prefix
   // and re-simulates: byte-identical output, ZERO loss, no gap windows.
   durability.salvage = true;
-  behavior::RecoverySummary summary;
-  const trace::Trace resumed = behavior::simulate_trace_durable(
-      model, config, 2, 2, durability, &summary);
-  EXPECT_EQ(serialize(resumed), serialize(first));
-  EXPECT_EQ(summary.spools_reset, 1u);
-  EXPECT_GT(summary.bytes_truncated, 0u);
-  EXPECT_GT(summary.events_replayed, 0u);
-  EXPECT_FALSE(summary.salvage.damaged());
+  const oracle::DurableRun resumed =
+      oracle::run_durable(model, config, 2, 2, durability);
+  EXPECT_EQ(serialize(resumed.trace), serialize(first));
+  EXPECT_EQ(resumed.summary.spools_reset, 1u);
+  EXPECT_GT(resumed.summary.bytes_truncated, 0u);
+  EXPECT_GT(resumed.summary.events_replayed, 0u);
+  EXPECT_FALSE(resumed.salvage.damaged());
   fs::remove_all(dir);
 }
 
@@ -658,7 +698,7 @@ TEST(CheckpointSalvage, WriteErrorCheckpointsAndStopsCleanly) {
   behavior::DurabilityConfig durability;
   durability.dir = dir;
   try {
-    (void)behavior::simulate_trace_durable(model, config, 2, 2, durability);
+    (void)behavior::simulate_to_spools(model, config, 2, 2, durability);
     FAIL() << "expected CheckpointStopped";
   } catch (const behavior::CheckpointStopped& stopped) {
     EXPECT_EQ(stopped.reason(), "io-error");
@@ -672,9 +712,9 @@ TEST(CheckpointSalvage, WriteErrorCheckpointsAndStopsCleanly) {
   // the stale stop reason is cleared.
   fs::permissions(shard1, fs::perms::owner_all, fs::perm_options::replace);
   durability.resume = true;
-  const trace::Trace resumed =
-      behavior::simulate_trace_durable(model, config, 2, 2, durability);
-  EXPECT_EQ(serialize(resumed), serialize(plain));
+  EXPECT_EQ(
+      serialize(oracle::run_durable(model, config, 2, 2, durability).trace),
+      serialize(plain));
   status = behavior::read_checkpoint_status(dir);
   EXPECT_TRUE(status.complete);
   EXPECT_TRUE(status.stop_reason.empty());
@@ -699,7 +739,7 @@ TEST(CheckpointSalvage, SidecarWriteErrorCheckpointsAndStopsCleanly) {
   behavior::DurabilityConfig durability;
   durability.dir = dir;
   try {
-    (void)behavior::simulate_trace_durable(model, config, 2, 2, durability);
+    (void)behavior::simulate_to_spools(model, config, 2, 2, durability);
     FAIL() << "expected CheckpointStopped";
   } catch (const behavior::CheckpointStopped& stopped) {
     EXPECT_EQ(stopped.reason(), "io-error");
@@ -710,9 +750,9 @@ TEST(CheckpointSalvage, SidecarWriteErrorCheckpointsAndStopsCleanly) {
 
   fs::remove_all(blocker);
   durability.resume = true;
-  const trace::Trace resumed =
-      behavior::simulate_trace_durable(model, config, 2, 2, durability);
-  EXPECT_EQ(serialize(resumed), serialize(plain));
+  EXPECT_EQ(
+      serialize(oracle::run_durable(model, config, 2, 2, durability).trace),
+      serialize(plain));
   status = behavior::read_checkpoint_status(dir);
   EXPECT_TRUE(status.complete);
   EXPECT_TRUE(status.stop_reason.empty());

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
@@ -20,6 +21,7 @@
 #include "analysis/parallel.hpp"
 #include "behavior/checkpoint.hpp"
 #include "behavior/sharded_simulation.hpp"
+#include "durable_oracle.hpp"
 #include "obs/span.hpp"
 #include "trace/trace_io.hpp"
 
@@ -440,9 +442,9 @@ TEST(ObsContract, RecoveryCountersPinTheDurabilityLayer) {
 
   // Fresh durable run: spools are written but nothing is recovered.
   registry.reset();
-  behavior::RecoverySummary fresh;
-  const trace::Trace first =
-      behavior::simulate_trace_durable(model, config, 2, 2, durability, &fresh);
+  const oracle::DurableRun first =
+      oracle::run_durable(model, config, 2, 2, durability);
+  const behavior::RecoverySummary& fresh = first.summary;
   auto snapshot = registry.snapshot();
   EXPECT_EQ(snapshot.counter_value("recovery.spool.records_recovered"), 0u);
   EXPECT_EQ(snapshot.counter_value("recovery.events_replayed"), 0u);
@@ -461,23 +463,48 @@ TEST(ObsContract, RecoveryCountersPinTheDurabilityLayer) {
   EXPECT_GT(snapshot.counter_value("recovery.replenish.scheduled"), 0u);
   EXPECT_GT(snapshot.counter_value("recovery.replenish.spawns"), 0u);
 
-  // Resumed run: both shards load complete from their spools, and the
-  // recovered-record counter accounts for every merged event.
+  // Resumed run: both shards are complete and are not re-read (the
+  // analysis validates their spools), so nothing counts as recovered.
   registry.reset();
   durability.resume = true;
-  behavior::RecoverySummary resumed;
-  const trace::Trace second = behavior::simulate_trace_durable(
-      model, config, 2, 2, durability, &resumed);
-  EXPECT_EQ(serialize(second), serialize(first));
+  const oracle::DurableRun second =
+      oracle::run_durable(model, config, 2, 2, durability);
+  EXPECT_EQ(serialize(second.trace), serialize(first.trace));
   snapshot = registry.snapshot();
-  EXPECT_EQ(snapshot.counter_value("recovery.spool.records_recovered"),
-            first.size());
+  EXPECT_EQ(snapshot.counter_value("recovery.spool.records_recovered"), 0u);
   EXPECT_EQ(snapshot.counter_value("recovery.checkpoints_loaded"), 2u);
   EXPECT_EQ(snapshot.counter_value("recovery.shards_completed_prior"), 2u);
   EXPECT_EQ(snapshot.counter_value("recovery.spool.records_truncated"), 0u);
+  EXPECT_EQ(snapshot.counter_value("recovery.spool.segments_scanned"),
+            second.summary.segments_scanned);
+
+  // An unfinished shard is re-opened: its durable records are recovered
+  // and the replay verifies them instead of re-writing them.
+  {
+    const std::string manifest_path = dir + "/MANIFEST";
+    std::ifstream in(manifest_path);
+    std::ostringstream kept;
+    std::string line;
+    while (std::getline(in, line)) {
+      if (line != "done 1") kept << line << "\n";
+    }
+    in.close();
+    std::ofstream out(manifest_path, std::ios::trunc);
+    out << kept.str();
+  }
+  registry.reset();
+  const oracle::DurableRun third =
+      oracle::run_durable(model, config, 2, 2, durability);
+  EXPECT_EQ(serialize(third.trace), serialize(first.trace));
+  snapshot = registry.snapshot();
+  EXPECT_EQ(snapshot.counter_value("recovery.spool.records_recovered"),
+            first.stats[1].events);
+  EXPECT_EQ(snapshot.counter_value("recovery.events_replayed"),
+            first.stats[1].events);
+  EXPECT_EQ(snapshot.counter_value("recovery.shards_completed_prior"), 1u);
   EXPECT_GT(snapshot.counter_value("recovery.spool.segments_scanned"), 0u);
   EXPECT_EQ(snapshot.counter_value("recovery.spool.segments_scanned"),
-            resumed.segments_scanned);
+            third.summary.segments_scanned);
   std::filesystem::remove_all(dir);
 }
 

@@ -21,6 +21,7 @@
 #include "analysis/streaming.hpp"
 #include "behavior/checkpoint.hpp"
 #include "behavior/sharded_simulation.hpp"
+#include "durable_oracle.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sidecars.hpp"
 #include "trace/spool.hpp"
@@ -421,14 +422,13 @@ TEST(QtraceContract, StreamingReplayReproducesMaterializedAggregates) {
   const std::string base = ::testing::TempDir() + "/p2pgen_qtrace_equiv";
   std::filesystem::remove_all(base);
 
-  // Materialized durable run: merges + publishes in-process, and writes
-  // the per-shard qtrace.bin sidecars next to the spools.
+  // Materialized oracle of a durable run: the per-shard qtrace.bin
+  // sidecars written next to the spools, merged and published in-process.
   behavior::DurabilityConfig durability;
   durability.dir = base + "/mat";
   registry.reset();
-  std::vector<obs::QueryHopEvent> materialized;
-  behavior::simulate_trace_durable(model, config, 2, 2, durability, nullptr,
-                                   nullptr, &materialized);
+  const std::vector<obs::QueryHopEvent> materialized =
+      oracle::run_durable(model, config, 2, 2, durability).streams.qtrace;
   const auto mat_aggregates = qtrace_aggregates(registry.snapshot());
 
   // Streaming run over a fresh spool: aggregates come from replaying the
@@ -446,15 +446,16 @@ TEST(QtraceContract, StreamingReplayReproducesMaterializedAggregates) {
   EXPECT_FALSE(mat_aggregates.empty());
   EXPECT_EQ(mat_aggregates, str_aggregates);
 
-  // Resume of the materialized checkpoint reloads the sidecars: same
-  // merged stream, same aggregates, without re-simulating anything.
+  // Resume of the first checkpoint keeps the sidecars: same merged
+  // stream, same aggregates, without re-simulating anything.
   durability.dir = base + "/mat";
   durability.resume = true;
   registry.reset();
-  std::vector<obs::QueryHopEvent> resumed;
-  behavior::simulate_trace_durable(model, config, 2, 2, durability, nullptr,
-                                   nullptr, &resumed);
-  EXPECT_EQ(obs::qtrace_digest(materialized), obs::qtrace_digest(resumed));
+  const oracle::DurableRun resumed =
+      oracle::run_durable(model, config, 2, 2, durability);
+  EXPECT_EQ(resumed.summary.events_replayed, 0u);
+  EXPECT_EQ(obs::qtrace_digest(materialized),
+            obs::qtrace_digest(resumed.streams.qtrace));
   EXPECT_EQ(qtrace_aggregates(registry.snapshot()), mat_aggregates);
   std::filesystem::remove_all(base);
 }

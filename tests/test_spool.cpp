@@ -708,6 +708,31 @@ TEST(SpoolSalvage, WriteErrorsCarryErrno) {
   }
   fs::permissions(dir, fs::perms::owner_all, fs::perm_options::replace);
 }
+
+TEST(Spool, FailedDirectoryFsyncOnSegmentRollIsAWriteError) {
+  if (::geteuid() == 0) {
+    GTEST_SKIP() << "running as root: permission bits are not enforced";
+  }
+  const std::string dir = temp_spool_dir("dir_fsync");
+  const trace::Trace trace = make_trace(4, 11);
+  ASSERT_GT(trace.size(), 2u);
+  trace::SpoolConfig config;
+  config.segment_max_records = 2;
+  trace::SpoolWriter writer(dir, config);
+  // Write and search but no read: the next segment file can still be
+  // created, but the directory cannot be opened to fsync its new entry.
+  fs::permissions(dir, fs::perms::owner_write | fs::perms::owner_exec,
+                  fs::perm_options::replace);
+  int error_code = 0;
+  try {
+    for (const auto& event : trace.events()) writer.append(event);
+  } catch (const trace::SpoolWriteError& error) {
+    error_code = error.error_code();
+  }
+  fs::permissions(dir, fs::perms::owner_all, fs::perm_options::replace);
+  EXPECT_EQ(error_code, EACCES)
+      << "a segment roll ignored its failed directory fsync";
+}
 #endif
 
 }  // namespace

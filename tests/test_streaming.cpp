@@ -20,11 +20,11 @@
 
 #include "analysis/dataset.hpp"
 #include "analysis/filters.hpp"
-#include "analysis/gaps.hpp"
 #include "analysis/measures.hpp"
 #include "analysis/model_fit.hpp"
 #include "behavior/checkpoint.hpp"
 #include "core/model_io.hpp"
+#include "durable_oracle.hpp"
 #include "geo/geoip.hpp"
 #include "scenario/curated.hpp"
 #include "stats/rng.hpp"
@@ -162,8 +162,9 @@ trace::Trace resume_materialized(const behavior::TraceSimulationConfig& config,
   behavior::DurabilityConfig durability;
   durability.dir = dir;
   durability.resume = true;
-  return behavior::simulate_trace_durable(core::WorkloadModel::paper_default(),
-                                          config, shards, 2, durability);
+  return oracle::run_durable(core::WorkloadModel::paper_default(), config,
+                             shards, 2, durability)
+      .trace;
 }
 
 TEST(Streaming, MatchesMaterializedOnFaultedMultiShardSpoolAtAnyThreadCount) {
@@ -473,16 +474,14 @@ TEST(StreamingSalvage, MatchesMaterializedGapCensoredAnalysisOnDamage) {
   durability.segment_max_records = 512;
   durability.resume = true;
   durability.salvage = true;
-  behavior::RecoverySummary summary;
-  const trace::Trace salvaged = behavior::simulate_trace_durable(
-      core::WorkloadModel::paper_default(), config, 2, 2, durability,
-      &summary);
-  ASSERT_TRUE(summary.salvage.damaged());
+  const oracle::DurableRun run = oracle::run_durable(
+      core::WorkloadModel::paper_default(), config, 2, 2, durability);
+  const trace::Trace& salvaged = run.trace;
+  ASSERT_TRUE(run.salvage.damaged());
   analysis::TraceDataset dataset =
       analysis::build_dataset(salvaged, geo::GeoIpDatabase::synthetic());
-  trace::SalvageReport want_salvage = summary.salvage;
-  const analysis::GapIndex gaps(want_salvage);
-  analysis::censor_dataset(dataset, gaps, want_salvage);
+  trace::SalvageReport want_salvage = run.salvage;
+  oracle::censor_dataset(dataset, want_salvage);
   EXPECT_GT(want_salvage.censored_sessions, 0u);
   Materialized want;
   want.stats = salvaged.stats();

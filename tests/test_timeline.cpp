@@ -22,6 +22,7 @@
 #include "analysis/streaming.hpp"
 #include "behavior/checkpoint.hpp"
 #include "behavior/sharded_simulation.hpp"
+#include "durable_oracle.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sidecars.hpp"
 #include "trace/spool.hpp"
@@ -401,14 +402,13 @@ TEST(TimelineContract, DurableResumeAndStreamingReplayAreIdentical) {
   const std::string base = ::testing::TempDir() + "/p2pgen_timeline_equiv";
   std::filesystem::remove_all(base);
 
-  // Materialized durable run: merges + publishes in-process and writes
-  // the per-shard timeline.bin sidecars next to the spools.
+  // Materialized oracle of a durable run: the per-shard timeline.bin
+  // sidecars written next to the spools, merged and published in-process.
   behavior::DurabilityConfig durability;
   durability.dir = base + "/mat";
   registry.reset();
-  std::vector<obs::TimelinePoint> materialized;
-  behavior::simulate_trace_durable(model, config, 2, 2, durability, nullptr,
-                                   nullptr, nullptr, &materialized);
+  const std::vector<obs::TimelinePoint> materialized =
+      oracle::run_durable(model, config, 2, 2, durability).streams.timeline;
   const auto mat_aggregates = timeline_aggregates(registry.snapshot());
   EXPECT_FALSE(materialized.empty());
 
@@ -434,15 +434,16 @@ TEST(TimelineContract, DurableResumeAndStreamingReplayAreIdentical) {
   EXPECT_FALSE(mat_aggregates.empty());
   EXPECT_EQ(mat_aggregates, str_aggregates);
 
-  // Resume of the materialized checkpoint reloads the sidecars: same
-  // merged stream, same aggregates, without re-simulating anything.
+  // Resume of the first checkpoint keeps the sidecars: same merged
+  // stream, same aggregates, without re-simulating anything.
   durability.dir = base + "/mat";
   durability.resume = true;
   registry.reset();
-  std::vector<obs::TimelinePoint> resumed;
-  behavior::simulate_trace_durable(model, config, 2, 2, durability, nullptr,
-                                   nullptr, nullptr, &resumed);
-  EXPECT_EQ(obs::timeline_digest(materialized), obs::timeline_digest(resumed));
+  const oracle::DurableRun resumed =
+      oracle::run_durable(model, config, 2, 2, durability);
+  EXPECT_EQ(resumed.summary.events_replayed, 0u);
+  EXPECT_EQ(obs::timeline_digest(materialized),
+            obs::timeline_digest(resumed.streams.timeline));
   EXPECT_EQ(timeline_aggregates(registry.snapshot()), mat_aggregates);
   std::filesystem::remove_all(base);
 }

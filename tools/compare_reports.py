@@ -1,16 +1,17 @@
 #!/usr/bin/env python3
 """Equivalence diff of two measurement_pipeline PipelineReport JSONs.
 
-The streaming-equivalence CI job runs the materialized and the
---streaming pipeline over the SAME resumed checkpoint and feeds both
---metrics files here.  The comparison surface is everything the analysis
-derives from the trace:
+The streaming-equivalence CI job runs the same config twice, once in
+memory (merged shard traces through the materialized chain) and once
+with --checkpoint-dir (spools analyzed in one streaming pass), and feeds
+both --metrics files here.  The comparison surface is everything the
+analysis derives from the trace:
 
   * the robustness section (end-reason rows included),
   * the Table-2 filter section,
   * every metrics counter EXCEPT pass-shape namespaces that legitimately
     differ between the two executions: pool.* (scheduler internals),
-    recovery.* (only the spool-producing run recovers), streaming.*
+    recovery.* (only the durable run checkpoints), streaming.*
     (describes the streaming pass itself) and process.* (RSS — differing
     is the point),
   * every metrics histogram (same exclusions): bounds, per-bucket
