@@ -51,6 +51,15 @@ void GeographyAccumulator::add_sample(const AddressSample& sample) {
   if (sample.region) sample_counts[idx(*sample.region)][bin] += 1.0;
 }
 
+void GeographyAccumulator::add_samples_of(const GeographyAccumulator& other) {
+  for (std::size_t h = 0; h < 24; ++h) {
+    sample_totals[h] += other.sample_totals[h];
+    for (std::size_t r = 0; r < kRegions; ++r) {
+      sample_counts[r][h] += other.sample_counts[r][h];
+    }
+  }
+}
+
 GeographyByHour GeographyAccumulator::finalize() const {
   GeographyByHour geo;
   for (std::size_t h = 0; h < 24; ++h) {
@@ -89,6 +98,15 @@ void SharedFilesAccumulator::add_onehop(std::uint32_t shared_files) {
 void SharedFilesAccumulator::add_allpeer(std::uint32_t shared_files) {
   if (shared_files <= 100) allpeers_counts[shared_files] += 1.0;
   allpeers_total += 1.0;
+}
+
+void SharedFilesAccumulator::add(const SharedFilesAccumulator& other) {
+  for (std::size_t k = 0; k <= 100; ++k) {
+    onehop_counts[k] += other.onehop_counts[k];
+    allpeers_counts[k] += other.allpeers_counts[k];
+  }
+  onehop_total += other.onehop_total;
+  allpeers_total += other.allpeers_total;
 }
 
 SharedFilesDistribution SharedFilesAccumulator::finalize() const {

@@ -143,6 +143,9 @@ struct GeographyAccumulator {
   void add_session(const ObservedSession& session, double trace_end);
   /// One PONG/QUERYHIT address sample.
   void add_sample(const AddressSample& sample);
+  /// Adds the address-sample counts of `other` (exact sums, so samples
+  /// counted in separate accumulators add up to the same values).
+  void add_samples_of(const GeographyAccumulator& other);
   GeographyByHour finalize() const;
 };
 
@@ -155,6 +158,8 @@ struct SharedFilesAccumulator {
 
   void add_onehop(std::uint32_t shared_files);
   void add_allpeer(std::uint32_t shared_files);
+  /// Adds the counts of `other` (exact sums).
+  void add(const SharedFilesAccumulator& other);
   SharedFilesDistribution finalize() const;
 };
 

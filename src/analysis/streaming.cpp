@@ -1,9 +1,9 @@
 #include "analysis/streaming.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <deque>
 #include <limits>
-#include <map>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -37,72 +37,280 @@ void publish_salvage_metrics(const trace::SalvageReport& report) {
   registry.counter("salvage.censored_queries").add(report.censored_queries);
 }
 
-/// One spool segment after its parallel decode: the events and the
-/// canonicalized keyword strings of hop-1 queries (canonical_keywords
-/// dominates decode cost, so it runs in the wave).  The raw frame bytes
-/// are NOT kept: append_event_binary round-trips exactly (the checkpoint
-/// replay digest-check is built on that), so the consumer re-encodes each
-/// event — with its namespaced session id — when folding it into the
-/// trace digest.
-struct DecodedSegment {
-  std::vector<trace::TraceEvent> events;
-  std::vector<std::string> canonical;  // aligned; set for hop-1 QUERYs
-  trace::SegmentReadResult read;
+/// What the sequential merge does with a record besides folding its
+/// bytes into the digest.  kQuery and kEnd only live between the two
+/// halves of the per-shard stage; the shard half rewrites each of them to
+/// kOther or kFirstEnd.
+enum class MergeTag : std::uint8_t {
+  kOther,     ///< time and digest only
+  kStart,     ///< SessionStart: its session takes the next sequence number
+  kFirstEnd,  ///< the SessionEnd that retired its session
+  kQuery,     ///< hop-1 QUERY, not yet matched to a session
+  kEnd,       ///< SessionEnd, not yet matched to a session
 };
 
-DecodedSegment decode_segment(const trace::SpoolReader& reader,
-                              std::size_t index) {
-  obs::ObsSpan span("streaming.segment_decode");
-  DecodedSegment seg;
-  seg.read = reader.read_segment(
-      index, [&seg](const std::uint8_t* data, std::size_t size) {
-        seg.events.push_back(trace::decode_event_binary(data, size));
-      });
-  seg.canonical.resize(seg.events.size());
-  for (std::size_t i = 0; i < seg.events.size(); ++i) {
-    const auto* msg = std::get_if<trace::MessageEvent>(&seg.events[i]);
-    if (msg != nullptr && msg->type == gnutella::MessageType::kQuery &&
-        msg->hops == 1) {
-      seg.canonical[i] = gnutella::canonical_keywords(msg->query);
+/// Order-insensitive totals of a stretch of records.  Every field is an
+/// exact count (integers, or +1.0 sums far below 2^53), so totals added
+/// up per segment, per shard and then in shard order equal the values a
+/// one-event-at-a-time pass over the merged trace produces.
+struct RecordTotals {
+  trace::TraceStats counts;  ///< message/connection counters; times unused
+  std::array<std::uint64_t, 4> end_reasons{};
+  GeographyAccumulator samples;  ///< address samples only
+  SharedFilesAccumulator shared_files;
+  std::uint64_t unmatched_queries = 0;
+  std::uint64_t unmatched_ends = 0;
+
+  void add(const RecordTotals& other) {
+    trace::TraceStats& c = counts;
+    const trace::TraceStats& o = other.counts;
+    c.query_messages += o.query_messages;
+    c.queryhit_messages += o.queryhit_messages;
+    c.ping_messages += o.ping_messages;
+    c.pong_messages += o.pong_messages;
+    c.bye_messages += o.bye_messages;
+    c.route_update_messages += o.route_update_messages;
+    c.direct_connections += o.direct_connections;
+    c.hop1_queries += o.hop1_queries;
+    c.ultrapeer_connections += o.ultrapeer_connections;
+    c.leaf_connections += o.leaf_connections;
+    for (std::size_t r = 0; r < end_reasons.size(); ++r) {
+      end_reasons[r] += other.end_reasons[r];
     }
+    samples.add_samples_of(other.samples);
+    shared_files.add(other.shared_files);
+    unmatched_queries += other.unmatched_queries;
+    unmatched_ends += other.unmatched_ends;
   }
-  return seg;
+};
+
+/// One reconstructed session of a shard.
+struct ShardSession {
+  ObservedSession session;
+  bool ended = false;  ///< its retiring SessionEnd has been merged
+};
+
+/// One spool segment after the per-shard stage: every record re-encoded
+/// with its namespaced session id (append_event_binary is the exact
+/// encoding the spool held), with its time and merge tag, so the merge
+/// never touches a decoded TraceEvent.
+struct EncodedRun {
+  trace::SegmentReadResult read;
+  std::string bytes;               ///< the records, back to back
+  std::vector<std::size_t> ends;   ///< end offset of each record in bytes
+  std::vector<double> times;
+  std::vector<MergeTag> tags;
+  RecordTotals totals;
+  /// kFirstEnd records' sessions, in record order (set by the shard half).
+  std::vector<ShardSession*> ended;
+
+  // Session pieces the segment half prepares for the shard half, one per
+  // kStart / kQuery / kEnd record in record order; emptied by the shard half.
+  std::vector<ObservedSession> starts;
+  std::vector<std::pair<std::uint64_t, ObservedQuery>> queries;
+  std::vector<trace::SessionEnd> session_ends;
+
+  std::size_t size() const noexcept { return times.size(); }
+
+  /// Encodes one decoded record (session id already namespaced), counts
+  /// it and prepares its session piece.
+  void add(trace::TraceEvent& event, const geo::GeoIpDatabase& geodb) {
+    trace::append_event_binary(event, bytes);
+    ends.push_back(bytes.size());
+    trace::TraceStats& c = totals.counts;
+    MergeTag tag = MergeTag::kOther;
+    double time = 0.0;
+    if (auto* start = std::get_if<trace::SessionStart>(&event)) {
+      time = start->time;
+      ++c.direct_connections;
+      if (start->ultrapeer) {
+        ++c.ultrapeer_connections;
+      } else {
+        ++c.leaf_connections;
+      }
+      ObservedSession& session = starts.emplace_back();
+      session.id = start->session_id;
+      session.start = start->time;
+      session.ip = start->ip;
+      session.region = geodb.lookup(start->ip);
+      session.ultrapeer = start->ultrapeer;
+      session.user_agent = std::move(start->user_agent);
+      tag = MergeTag::kStart;
+    } else if (const auto* msg = std::get_if<trace::MessageEvent>(&event)) {
+      time = msg->time;
+      switch (msg->type) {
+        case gnutella::MessageType::kQuery:
+          ++c.query_messages;
+          if (msg->hops == 1) {
+            ++c.hop1_queries;
+            ObservedQuery query;
+            query.time = msg->time;
+            query.canonical = gnutella::canonical_keywords(msg->query);
+            query.sha1 = msg->sha1;
+            query.guid_hash = msg->guid_hash;
+            queries.emplace_back(msg->session_id, std::move(query));
+            tag = MergeTag::kQuery;
+          }
+          break;
+        case gnutella::MessageType::kQueryHit:
+          ++c.queryhit_messages;
+          if (msg->hops >= 2) {
+            totals.samples.add_sample({msg->time, geodb.lookup(msg->source_ip)});
+          }
+          break;
+        case gnutella::MessageType::kPing:
+          ++c.ping_messages;
+          break;
+        case gnutella::MessageType::kPong:
+          ++c.pong_messages;
+          if (msg->hops >= 2) {
+            totals.samples.add_sample({msg->time, geodb.lookup(msg->source_ip)});
+            totals.shared_files.add_allpeer(msg->shared_files);
+          } else {
+            totals.shared_files.add_onehop(msg->shared_files);
+          }
+          break;
+        case gnutella::MessageType::kBye:
+          ++c.bye_messages;
+          break;
+        case gnutella::MessageType::kRouteTableUpdate:
+          ++c.route_update_messages;
+          break;
+      }
+    } else {
+      const auto& end = std::get<trace::SessionEnd>(event);
+      time = end.time;
+      ++totals.end_reasons[static_cast<std::size_t>(end.reason)];
+      session_ends.push_back(end);
+      tag = MergeTag::kEnd;
+    }
+    times.push_back(time);
+    tags.push_back(tag);
+  }
+};
+
+/// The segment half of the per-shard stage (any pool thread): reads and
+/// CRC-checks segment `index`, decodes each record, namespaces its session
+/// id exactly like merge_traces and hands it to EncodedRun::add.  The
+/// decoded events never outlive the callback.
+EncodedRun encode_segment(const trace::SpoolReader& reader, std::size_t index,
+                          std::uint64_t id_base,
+                          const geo::GeoIpDatabase& geodb) {
+  obs::ObsSpan span("streaming.segment_decode");
+  EncodedRun run;
+  run.read = reader.read_segment(
+      index, [&](const std::uint8_t* data, std::size_t size) {
+        trace::TraceEvent event = trace::decode_event_binary(data, size);
+        if (id_base != 0) {
+          std::visit([&](auto& e) { e.session_id += id_base; }, event);
+        }
+        run.add(event, geodb);
+      });
+  return run;
 }
 
-/// Per-shard read state of the deterministic merge.
-struct ShardCursor {
-  ShardCursor(const std::string& dir, trace::SpoolReadMode mode)
+/// Per-shard state.  The read side and the session table are touched by
+/// one wave task at a time; the merge side only between waves.
+struct ShardState {
+  ShardState(const std::string& dir, trace::SpoolReadMode mode)
       : reader(dir, mode) {}
 
   trace::SpoolReader reader;
-  std::uint64_t id_base = 0;          // shard * kShardSessionStride
-  std::size_t next_segment = 0;       // next segment index to decode
-  std::deque<DecodedSegment> ready;   // decoded, not yet fully consumed
-  std::size_t event_pos = 0;          // position within ready.front()
-  bool torn = false;                  // spool ended in a torn tail
+  std::uint64_t id_base = 0;     // shard * kShardSessionStride
+  std::size_t next_segment = 0;  // next segment index to decode
+  bool torn = false;             // spool ended in a torn tail
   /// Salvage mode: the shard's gap accounting, fed one segment at a time
-  /// in index order as decoded segments are pushed onto `ready`.
+  /// in index order as encoded runs are pushed onto `ready`.
   trace::SalvageAssembler assembler;
 
-  bool exhausted() const noexcept {
-    return ready.empty() && next_segment >= reader.segment_count();
+  /// Sessions not yet emitted, in SessionStart order.  A deque, so the
+  /// pointers in `open` and EncodedRun::ended survive pushes and pops.
+  std::deque<ShardSession> sessions;
+  /// Session id -> session, from its SessionStart to its SessionEnd.
+  std::unordered_map<std::uint64_t, ShardSession*> open;
+  RecordTotals totals;  ///< this shard's records, summed at finalize()
+
+  std::deque<EncodedRun> ready;  // encoded, not yet fully merged
+  std::size_t event_pos = 0;     // next record of ready.front()
+  std::size_t ended_pos = 0;     // next entry of ready.front().ended
+
+  /// Drops fully merged runs; true when the shard has no record ready but
+  /// segments left to encode.
+  bool needs_refill() {
+    while (!ready.empty() && event_pos >= ready.front().size()) {
+      ready.pop_front();
+      event_pos = 0;
+      ended_pos = 0;
+    }
+    return ready.empty() && next_segment < reader.segment_count();
+  }
+
+  /// The shard half of the per-shard stage: matches one run's session
+  /// pieces against the shard's table, in record order.  A session's id
+  /// is retired at its SessionEnd, so a later QUERY or SessionEnd with
+  /// that id is unmatched — a pure function of this shard's records.
+  void match_sessions(EncodedRun& run) {
+    std::size_t next_start = 0;
+    std::size_t next_query = 0;
+    std::size_t next_end = 0;
+    for (MergeTag& tag : run.tags) {
+      switch (tag) {
+        case MergeTag::kStart: {
+          ShardSession& session = sessions.emplace_back();
+          session.session = std::move(run.starts[next_start++]);
+          // Overwrites any older mapping, exactly like build_dataset's
+          // index: on a (never simulator-produced) id reuse, later events
+          // attach to the newest session and the older one stays open.
+          open[session.session.id] = &session;
+          break;
+        }
+        case MergeTag::kQuery: {
+          auto& [id, query] = run.queries[next_query++];
+          tag = MergeTag::kOther;
+          const auto it = open.find(id);
+          if (it == open.end()) {
+            ++run.totals.unmatched_queries;
+          } else {
+            it->second->session.queries.push_back(std::move(query));
+          }
+          break;
+        }
+        case MergeTag::kEnd: {
+          const trace::SessionEnd& end = run.session_ends[next_end++];
+          const auto it = open.find(end.session_id);
+          if (it == open.end()) {
+            ++run.totals.unmatched_ends;
+            tag = MergeTag::kOther;
+            break;
+          }
+          ObservedSession& session = it->second->session;
+          session.end = end.time;
+          session.has_end = true;
+          session.end_reason = end.reason;
+          run.ended.push_back(it->second);
+          open.erase(it);
+          tag = MergeTag::kFirstEnd;
+          break;
+        }
+        case MergeTag::kOther:
+        case MergeTag::kFirstEnd:
+          break;
+      }
+    }
+    totals.add(run.totals);
+    run.starts = {};
+    run.queries = {};
+    run.session_ends = {};
   }
 };
 
-/// How many decoded segments a shard may hold before the wave scheduler
+/// How many encoded runs a shard may hold before the wave scheduler
 /// stops prefetching for it.  Bounds streaming memory at
 /// O(shards * depth * segment), independent of spool size.
 constexpr std::size_t kPrefetchDepth = 2;
 
-/// One reconstructed session plus its SessionStart sequence number — the
-/// emission key that reproduces the materialized dataset's vector order.
-struct TrackedSession {
-  ObservedSession session;
-  bool open = true;  // no SessionEnd consumed yet
-};
-
 /// The whole streaming pass.  A class only to keep the state shared by
-/// the wave scheduler, the merge consumer and the emitter in one place.
+/// the wave scheduler, the merge and the emitter in one place.
 class StreamingPass {
  public:
   StreamingPass(const std::vector<std::string>& shard_dirs,
@@ -115,11 +323,11 @@ class StreamingPass {
     const trace::SpoolReadMode mode = options.salvage
                                           ? trace::SpoolReadMode::kSalvage
                                           : trace::SpoolReadMode::kStrict;
-    cursors_.reserve(shard_dirs.size());
+    shards_.reserve(shard_dirs.size());
     for (std::size_t k = 0; k < shard_dirs.size(); ++k) {
-      cursors_.emplace_back(shard_dirs[k], mode);
-      cursors_.back().id_base = static_cast<std::uint64_t>(k) *
-                                trace::kShardSessionStride;
+      shards_.emplace_back(shard_dirs[k], mode);
+      shards_.back().id_base = static_cast<std::uint64_t>(k) *
+                               trace::kShardSessionStride;
     }
     std::string header;
     trace::append_header_binary(header);
@@ -129,26 +337,40 @@ class StreamingPass {
 
   StreamingResult run() {
     obs::ObsSpan span("streaming.analyze");
-    consume_all();
+    do {
+      while (refill_needed()) refill();
+    } while (merge_stretch());
     return finalize();
   }
 
  private:
-  // ---- decode waves ----------------------------------------------------
+  // ---- decode waves: the per-shard stage --------------------------------
 
-  /// Decodes the next wave of segments in parallel: one segment for every
-  /// shard that is out of ready events (the consumer cannot pick a merge
-  /// head without one), plus round-robin prefetch up to the pool width.
-  /// Which segments are decoded when never affects results — only the
-  /// consumer's fixed (time, shard) order does.
+  /// Drops every shard's fully merged runs (empty segments included);
+  /// true when some shard must be refilled before the merge can go on.
+  bool refill_needed() {
+    bool need = false;
+    for (ShardState& shard : shards_) need = shard.needs_refill() || need;
+    return need;
+  }
+
+  /// Runs the per-shard stage on the next wave of segments: one segment
+  /// for every shard that is out of ready records (the merge cannot pick
+  /// a head without one), plus round-robin prefetch up to the pool width.
+  /// Segments are encoded in parallel, then each shard's table matches its
+  /// runs in segment order (one task per shard).  Which segments are
+  /// encoded when never affects results: each shard's table sees its
+  /// records in spool order whatever the waves, and the merge fixes the
+  /// (time, shard) order.
   void refill() {
     obs::ObsSpan span("streaming.decode_wave");
     std::vector<std::pair<std::size_t, std::size_t>> wave;  // (shard, segment)
-    std::vector<std::size_t> pending(cursors_.size(), 0);
-    for (std::size_t s = 0; s < cursors_.size(); ++s) {
-      ShardCursor& cur = cursors_[s];
-      if (cur.ready.empty() && cur.next_segment < cur.reader.segment_count()) {
-        wave.emplace_back(s, cur.next_segment++);
+    std::vector<std::size_t> pending(shards_.size(), 0);
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      ShardState& shard = shards_[s];
+      if (shard.ready.empty() &&
+          shard.next_segment < shard.reader.segment_count()) {
+        wave.emplace_back(s, shard.next_segment++);
         ++pending[s];
       }
     }
@@ -157,27 +379,40 @@ class StreamingPass {
     bool added = true;
     while (wave.size() < width && added) {
       added = false;
-      for (std::size_t s = 0; s < cursors_.size() && wave.size() < width;
-           ++s) {
-        ShardCursor& cur = cursors_[s];
-        if (cur.ready.size() + pending[s] >= kPrefetchDepth) continue;
-        if (cur.next_segment >= cur.reader.segment_count()) continue;
-        wave.emplace_back(s, cur.next_segment++);
+      for (std::size_t s = 0; s < shards_.size() && wave.size() < width; ++s) {
+        ShardState& shard = shards_[s];
+        if (shard.ready.size() + pending[s] >= kPrefetchDepth) continue;
+        if (shard.next_segment >= shard.reader.segment_count()) continue;
+        wave.emplace_back(s, shard.next_segment++);
         ++pending[s];
         added = true;
       }
     }
     if (wave.empty()) return;
 
-    std::vector<DecodedSegment> decoded(wave.size());
+    std::vector<EncodedRun> runs(wave.size());
     pool_.run_indexed(wave.size(), [&](std::size_t i) {
-      decoded[i] = decode_segment(cursors_[wave[i].first].reader,
-                                  wave[i].second);
+      const ShardState& shard = shards_[wave[i].first];
+      runs[i] = encode_segment(shard.reader, wave[i].second, shard.id_base,
+                               geodb_);
     });
+    std::vector<std::size_t> wave_shards;
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      if (pending[s] > 0) wave_shards.push_back(s);
+    }
+    pool_.run_indexed(wave_shards.size(), [&](std::size_t k) {
+      // The wave lists each shard's segments in index order.
+      for (std::size_t i = 0; i < wave.size(); ++i) {
+        if (wave[i].first == wave_shards[k]) {
+          shards_[wave_shards[k]].match_sessions(runs[i]);
+        }
+      }
+    });
+
     for (std::size_t i = 0; i < wave.size(); ++i) {
-      ShardCursor& cur = cursors_[wave[i].first];
-      if (decoded[i].read.torn && !cur.torn) {
-        cur.torn = true;
+      ShardState& shard = shards_[wave[i].first];
+      if (runs[i].read.torn && !shard.torn) {
+        shard.torn = true;
         ++stats_out_.shards_torn;
       }
       if (options_.salvage) {
@@ -186,154 +421,107 @@ class StreamingPass {
         // the exact protocol read_spool_salvage follows, so both paths
         // report identical gaps for identical damage.
         for (const std::size_t hole :
-             cur.reader.missing_before(wave[i].second)) {
-          cur.assembler.add_missing_segment(trace::spool_segment_name(hole));
+             shard.reader.missing_before(wave[i].second)) {
+          shard.assembler.add_missing_segment(trace::spool_segment_name(hole));
         }
-        cur.assembler.add_segment(decoded[i].read);
+        shard.assembler.add_segment(runs[i].read);
       }
-      cur.ready.push_back(std::move(decoded[i]));
+      shard.ready.push_back(std::move(runs[i]));
     }
     stats_out_.segments_read += wave.size();
     ++stats_out_.decode_waves;
   }
 
-  /// Drops fully consumed segments and guarantees every non-exhausted
-  /// shard has a ready head event, decoding waves as needed.
-  void ensure_heads() {
-    for (;;) {
-      bool need = false;
-      for (ShardCursor& cur : cursors_) {
-        while (!cur.ready.empty() &&
-               cur.event_pos >= cur.ready.front().events.size()) {
-          cur.ready.pop_front();
-          cur.event_pos = 0;
-        }
-        need = need ||
-               (cur.ready.empty() &&
-                cur.next_segment < cur.reader.segment_count());
-      }
-      if (!need) return;
-      refill();
-    }
-  }
+  // ---- the sequential stage: merge, digest, emission --------------------
 
-  // ---- deterministic merge consumer ------------------------------------
-
-  void consume_all() {
+  /// Merges records in merge_traces' (time, shard) order until some shard
+  /// runs out of ready records with segments left (the next wave refills
+  /// it).  Returns false once every shard is drained.
+  bool merge_stretch() {
+    obs::ObsSpan span("streaming.merge");
+    const std::size_t none = shards_.size();
     for (;;) {
-      ensure_heads();
-      // merge_traces pops by (time, shard index): scanning shards in
-      // ascending index with a strict `<` reproduces that order exactly.
-      std::size_t best = cursors_.size();
+      // The head and the runner-up by (time, shard index): scanning in
+      // ascending index with a strict `<` breaks ties like merge_traces.
+      std::size_t best = none;
+      std::size_t next = none;
       double best_time = std::numeric_limits<double>::infinity();
-      for (std::size_t s = 0; s < cursors_.size(); ++s) {
-        const ShardCursor& cur = cursors_[s];
-        if (cur.ready.empty()) continue;
-        const double t =
-            trace::event_time(cur.ready.front().events[cur.event_pos]);
+      double next_time = best_time;
+      for (std::size_t s = 0; s < shards_.size(); ++s) {
+        const ShardState& shard = shards_[s];
+        if (shard.ready.empty()) continue;
+        const double t = shard.ready.front().times[shard.event_pos];
         if (t < best_time) {
-          best_time = t;
+          next = best;
+          next_time = best_time;
           best = s;
+          best_time = t;
+        } else if (t < next_time) {
+          next = s;
+          next_time = t;
         }
       }
-      if (best == cursors_.size()) return;  // all shards exhausted
-      consume_one(cursors_[best]);
+      if (best == none) return false;
+      merge_run(best, next_time, next);
+      if (shards_[best].needs_refill()) return true;
     }
   }
 
-  void consume_one(ShardCursor& cur) {
-    DecodedSegment& seg = cur.ready.front();
-    const std::size_t pos = cur.event_pos++;
-    trace::TraceEvent& event = seg.events[pos];
-
-    // Namespace the session id exactly like merge_traces, then fold the
-    // re-encoded record bytes into the running binary_digest stream
-    // (append_event_binary is the exact encoding the spool held).
-    if (cur.id_base != 0) {
-      std::visit([&](auto& e) { e.session_id += cur.id_base; }, event);
-    }
-    encode_buf_.clear();
-    trace::append_event_binary(event, encode_buf_);
-    digest_ = trace::fnv1a_update(digest_, encode_buf_.data(),
-                                  encode_buf_.size());
-    ++events_;
-
-    // Table-1 counters (Trace::stats(), one event at a time).
-    const double t = trace::event_time(event);
-    if (first_event_) {
-      stats_.first_time = t;
-      first_event_ = false;
-    }
-    stats_.first_time = std::min(stats_.first_time, t);
-    stats_.last_time = std::max(stats_.last_time, t);
-
-    if (const auto* start = std::get_if<trace::SessionStart>(&event)) {
-      ++stats_.direct_connections;
-      if (start->ultrapeer) {
-        ++stats_.ultrapeer_connections;
-      } else {
-        ++stats_.leaf_connections;
+  /// Merges the head shard's records for as long as they precede the
+  /// runner-up (`limit_time`, `limit_shard`), up to the end of its run,
+  /// and folds their bytes into the digest in one call.
+  void merge_run(std::size_t shard_index, double limit_time,
+                 std::size_t limit_shard) {
+    ShardState& shard = shards_[shard_index];
+    const EncodedRun& run = shard.ready.front();
+    const std::size_t first = shard.event_pos;
+    std::size_t i = first;
+    for (; i < run.size(); ++i) {
+      const double t = run.times[i];
+      // Negated rather than inverted: the scan above never picks a NaN
+      // time, so a NaN stops the run here too.
+      if (!(t < limit_time ||
+            (t == limit_time && shard_index < limit_shard))) {
+        break;
       }
-      on_session_start(*start);
-    } else if (const auto* msg = std::get_if<trace::MessageEvent>(&event)) {
-      switch (msg->type) {
-        case gnutella::MessageType::kQuery:
-          ++stats_.query_messages;
-          if (msg->hops == 1) ++stats_.hop1_queries;
-          on_query(*msg, seg.canonical[pos]);
+      // Table-1 time range, exactly as Trace::stats() computes it.
+      if (first_event_) {
+        stats_.first_time = t;
+        first_event_ = false;
+      }
+      stats_.first_time = std::min(stats_.first_time, t);
+      stats_.last_time = std::max(stats_.last_time, t);
+      switch (run.tags[i]) {
+        case MergeTag::kStart:
+          start_session(shard_index);
           break;
-        case gnutella::MessageType::kQueryHit:
-          ++stats_.queryhit_messages;
-          if (msg->hops >= 2) {
-            geography_.add_sample({msg->time, geodb_.lookup(msg->source_ip)});
-          }
+        case MergeTag::kFirstEnd:
+          run.ended[shard.ended_pos++]->ended = true;
+          --open_count_;
+          drain_emittable();
           break;
-        case gnutella::MessageType::kPing:
-          ++stats_.ping_messages;
-          break;
-        case gnutella::MessageType::kPong:
-          ++stats_.pong_messages;
-          if (msg->hops >= 2) {
-            geography_.add_sample({msg->time, geodb_.lookup(msg->source_ip)});
-            shared_.add_allpeer(msg->shared_files);
-          } else {
-            shared_.add_onehop(msg->shared_files);
-          }
-          break;
-        case gnutella::MessageType::kBye:
-          ++stats_.bye_messages;
-          break;
-        case gnutella::MessageType::kRouteTableUpdate:
-          ++stats_.route_update_messages;
+        default:
           break;
       }
-    } else {
-      on_session_end(std::get<trace::SessionEnd>(event));
     }
+    const std::size_t begin = first == 0 ? 0 : run.ends[first - 1];
+    digest_ = trace::fnv1a_update(digest_, run.bytes.data() + begin,
+                                  run.ends[i - 1] - begin);
+    events_ += i - first;
+    shard.event_pos = i;
   }
 
-  // ---- online session reconstruction -----------------------------------
-
-  void on_session_start(const trace::SessionStart& start) {
-    const std::uint64_t seq = next_seq_++;
-    TrackedSession& tracked = sessions_[seq];
-    tracked.session.id = start.session_id;
-    tracked.session.start = start.time;
-    tracked.session.ip = start.ip;
-    tracked.session.region = geodb_.lookup(start.ip);
-    tracked.session.ultrapeer = start.ultrapeer;
-    tracked.session.user_agent = start.user_agent;
-    // Overwrites any older mapping, exactly like build_dataset's index:
-    // on a (never simulator-produced) id reuse, later events attach to
-    // the newest session and the older one ends up truncated.
-    id_index_[start.session_id] = seq;
+  /// A merged SessionStart: the shard's next session takes the next
+  /// sequence number (its place in `tracked_`).
+  void start_session(std::size_t shard_index) {
+    tracked_.push_back(shard_index);
     ++open_count_;
     stats_out_.max_open_sessions =
         std::max(stats_out_.max_open_sessions, open_count_);
     stats_out_.max_tracked_sessions = std::max(
         stats_out_.max_tracked_sessions,
-        static_cast<std::uint64_t>(sessions_.size()));
-    if (sessions_.size() > options_.max_tracked_sessions) {
+        static_cast<std::uint64_t>(tracked_.size()));
+    if (tracked_.size() > options_.max_tracked_sessions) {
       throw std::runtime_error(
           "streaming: tracked-session table exceeded max_tracked_sessions (" +
           std::to_string(options_.max_tracked_sessions) +
@@ -342,38 +530,15 @@ class StreamingPass {
     }
   }
 
-  void on_query(const trace::MessageEvent& msg, std::string& canonical) {
-    if (msg.hops != 1) return;
-    const auto it = id_index_.find(msg.session_id);
-    if (it == id_index_.end()) {
-      // The materialized path drops exactly these too: no SessionStart.
-      ++stats_out_.unmatched_query_events;
-      return;
-    }
-    ObservedQuery query;
-    query.time = msg.time;
-    query.canonical = std::move(canonical);
-    query.sha1 = msg.sha1;
-    query.guid_hash = msg.guid_hash;
-    sessions_.at(it->second).session.queries.push_back(std::move(query));
+  /// The oldest tracked session: the front of its shard's table, because
+  /// a shard's sessions take sequence numbers in its own start order.
+  ShardSession& oldest_tracked() {
+    return shards_[tracked_.front()].sessions.front();
   }
 
-  void on_session_end(const trace::SessionEnd& end) {
-    ++end_reason_counts_[static_cast<std::size_t>(end.reason)];
-    const auto it = id_index_.find(end.session_id);
-    if (it == id_index_.end()) {
-      ++stats_out_.unmatched_end_events;
-      return;
-    }
-    TrackedSession& tracked = sessions_.at(it->second);
-    tracked.session.end = end.time;
-    tracked.session.has_end = true;
-    tracked.session.end_reason = end.reason;
-    if (tracked.open) {
-      tracked.open = false;
-      --open_count_;
-    }
-    drain_emittable();
+  void pop_oldest_tracked() {
+    shards_[tracked_.front()].sessions.pop_front();
+    tracked_.pop_front();
   }
 
   /// Emits every ended session at the front of the sequence order.  A
@@ -381,23 +546,10 @@ class StreamingPass {
   /// tracked), which is what keeps emission in SessionStart order — the
   /// order every order-sensitive accumulator requires.
   void drain_emittable() {
-    while (!sessions_.empty()) {
-      auto it = sessions_.begin();
-      if (it->first != next_emit_ || !it->second.session.has_end) return;
-      emit(it->second.session);
-      erase_tracked(it);
+    while (!tracked_.empty() && oldest_tracked().ended) {
+      emit(oldest_tracked().session);
+      pop_oldest_tracked();
     }
-  }
-
-  void erase_tracked(std::map<std::uint64_t, TrackedSession>::iterator it) {
-    const auto id_it = id_index_.find(it->second.session.id);
-    // Only drop the id mapping if it still points at this session (an id
-    // reuse may have repointed it at a newer one).
-    if (id_it != id_index_.end() && id_it->second == it->first) {
-      id_index_.erase(id_it);
-    }
-    sessions_.erase(it);
-    ++next_emit_;
   }
 
   /// True when the session overlaps a salvage gap window of its shard
@@ -410,10 +562,10 @@ class StreamingPass {
     if (!options_.salvage) return false;
     const auto shard =
         static_cast<std::size_t>(trace::shard_of_session(session.id));
-    if (shard >= cursors_.size()) return false;
+    if (shard >= shards_.size()) return false;
     const trace::SalvageReport& report = salvage_finished_
                                              ? shard_salvage_[shard]
-                                             : cursors_[shard].assembler.report();
+                                             : shards_[shard].assembler.report();
     for (const auto& range : report.ranges) {
       const double after = std::isnan(range.time_after)
                                ? std::numeric_limits<double>::infinity()
@@ -454,25 +606,33 @@ class StreamingPass {
     // still-open sessions whose censor verdict needs the finished gap
     // windows (open ends patched to +inf).
     if (options_.salvage) {
-      shard_salvage_.resize(cursors_.size());
-      for (std::size_t k = 0; k < cursors_.size(); ++k) {
-        shard_salvage_[k] = cursors_[k].assembler.finish();
+      shard_salvage_.resize(shards_.size());
+      for (std::size_t k = 0; k < shards_.size(); ++k) {
+        shard_salvage_[k] = shards_[k].assembler.finish();
       }
       salvage_finished_ = true;
     }
     // Sessions still open when the trace stopped: truncate at trace_end
     // and mark removed, exactly like build_dataset's final pass, then
     // flush everything still tracked in sequence order.
-    while (!sessions_.empty()) {
-      auto it = sessions_.begin();
-      ObservedSession& session = it->second.session;
+    while (!tracked_.empty()) {
+      ObservedSession& session = oldest_tracked().session;
       if (!session.has_end) {
         session.end = stats_.last_time;
         session.removed = true;
       }
       emit(session);
-      erase_tracked(it);
+      pop_oldest_tracked();
     }
+    // The order-insensitive totals, added in shard order.
+    RecordTotals totals;
+    for (const ShardState& shard : shards_) totals.add(shard.totals);
+    totals.counts.first_time = stats_.first_time;
+    totals.counts.last_time = stats_.last_time;
+    stats_ = totals.counts;
+    geography_.add_samples_of(totals.samples);
+    stats_out_.unmatched_query_events = totals.unmatched_queries;
+    stats_out_.unmatched_end_events = totals.unmatched_ends;
     publish_filter_metrics(filter_report_);
 
     StreamingResult result;
@@ -480,10 +640,10 @@ class StreamingPass {
     result.trace_digest = digest_;
     result.events = events_;
     result.trace_end = stats_.last_time;
-    result.end_reason_counts = end_reason_counts_;
+    result.end_reason_counts = totals.end_reasons;
     result.filters = filter_report_;
     result.geography = geography_.finalize();
-    result.shared_files = shared_.finalize();
+    result.shared_files = totals.shared_files.finalize();
     result.load = load_.finalize();
     result.passive = passive_.finalize();
     result.measures = std::move(measures_);
@@ -548,27 +708,22 @@ class StreamingPass {
   const StreamingOptions& options_;
   util::ThreadPool pool_;
   std::vector<std::string> shard_dirs_;  ///< for the observer sidecars
-  std::vector<ShardCursor> cursors_;
+  std::vector<ShardState> shards_;
 
   // Merge + digest state.
   std::uint64_t digest_ = trace::kFnvOffsetBasis;
-  std::string encode_buf_;
   std::uint64_t events_ = 0;
   trace::TraceStats stats_;
   bool first_event_ = true;
-  std::array<std::uint64_t, 4> end_reason_counts_{};
 
-  // Session table: sequence number -> session, plus id -> sequence.
-  std::map<std::uint64_t, TrackedSession> sessions_;
-  std::unordered_map<std::uint64_t, std::uint64_t> id_index_;
-  std::uint64_t next_seq_ = 0;
-  std::uint64_t next_emit_ = 0;
+  /// Shard index of every tracked session (merged SessionStart, not yet
+  /// emitted), in sequence order.
+  std::deque<std::size_t> tracked_;
   std::uint64_t open_count_ = 0;
 
   // Accumulators (the materialized measures' own state, fed per session).
   FilterReport filter_report_;
   GeographyAccumulator geography_;
-  SharedFilesAccumulator shared_;
   LoadAccumulator load_;
   PassiveAccumulator passive_;
   SessionMeasures measures_;

@@ -5,27 +5,33 @@
 // memory is O(trace).  analyze_spools() produces the SAME results —
 // bit-identical Table-1 stats, trace digest, Table-2 filter rows,
 // measures, appendix fits and refit model — in one pass over the
-// per-shard spools with peak memory O(segments in flight + open
+// per-shard spools with peak memory O(segments in flight + tracked
 // sessions):
 //
-//   * segments are CRC-validated, decoded and keyword-canonicalized in
-//     parallel waves on the deterministic thread pool (trace/spool_reader
-//     single-pass iterator: validation and decode share one read);
-//   * a sequential consumer merges the decoded shard streams in the
-//     exact (time, shard) order of trace::merge_traces, namespacing
-//     session ids by kShardSessionStride and folding the patched record
-//     bytes into the same FNV-1a stream binary_digest() computes;
-//   * sessions are reconstructed online in a bounded table and, once
-//     ended, emitted in SessionStart order — at which point the five
-//     filter rules and every measure accumulator run with the SAME code
-//     the materialized path uses (filters.hpp / measures.hpp /
-//     popularity_analysis.hpp expose the per-session forms), so every
-//     float lands in the same place in the same order.
+//   * a per-shard stage runs in waves on the deterministic thread pool:
+//     segments are CRC-validated and decoded (trace/spool_reader
+//     single-pass iterator: validation and decode share one read), each
+//     record's session id is namespaced by kShardSessionStride, the
+//     record is re-encoded for the digest, the order-insensitive totals
+//     (Table-1 counters, end reasons, address samples, shared files) are
+//     counted, and the shard's sessions are rebuilt in its own table —
+//     sessions never cross shards;
+//   * a thin sequential stage merges the encoded runs in the exact
+//     (time, shard) order of trace::merge_traces, folds the record bytes
+//     into the same FNV-1a stream binary_digest() computes, numbers
+//     sessions by merged SessionStart and, once ended, emits them in that
+//     order — at which point the five filter rules and every measure
+//     accumulator run with the SAME code the materialized path uses
+//     (filters.hpp / measures.hpp / popularity_analysis.hpp expose the
+//     per-session forms), so every float lands in the same place in the
+//     same order.
 //
-// Parallelism only ever touches the decode phase, whose outputs are
-// pure per-segment values consumed in a fixed order — results are
-// therefore identical at any thread count, which the streaming
-// determinism suite pins against the materialized oracle.
+// The pool only runs work whose result is a function of one segment or
+// of one shard's records in spool order; the totals are exact counts
+// added in shard order, and everything order-sensitive happens in the
+// sequential stage.  Results are therefore identical at any thread
+// count, which the streaming determinism suite pins against the
+// materialized oracle.
 #pragma once
 
 #include <array>
@@ -47,7 +53,7 @@
 namespace p2pgen::analysis {
 
 struct StreamingOptions {
-  /// Threads for the segment decode waves.  Never changes results.
+  /// Threads for the per-shard stage's waves.  Never changes results.
   unsigned threads = 1;
   /// Filter rules applied at session emission.
   FilterOptions filters{};
@@ -55,9 +61,11 @@ struct StreamingOptions {
   /// semantics).
   core::WorkloadModel fallback = core::WorkloadModel::paper_default();
   /// Hard cap on tracked sessions (open + ended-but-not-yet-emitted).
-  /// The streaming pass is constant-memory only because this table stays
-  /// bounded by session concurrency; exceeding the cap throws rather than
-  /// silently degrading to O(trace).
+  /// Emission follows SessionStart order, so one early session that stays
+  /// open holds every later one in the table: the table is bounded by the
+  /// span of sessions started while the oldest open one lives, which can
+  /// be most of the trace (StreamingStats::max_tracked_sessions reports
+  /// it).  Exceeding the cap throws rather than growing without bound.
   std::size_t max_tracked_sessions = std::size_t{1} << 22;
 
   /// Salvage mode (DESIGN.md §14): read the spools with
@@ -83,12 +91,18 @@ struct StreamingStats {
   /// High-water mark of the whole tracked table: open sessions plus ended
   /// sessions waiting for an earlier still-open session to emit first.
   std::uint64_t max_tracked_sessions = 0;
-  /// QUERY events whose session id matched no tracked session.  The
-  /// materialized path drops exactly these too (no SessionStart seen), so
-  /// a nonzero value here is normal for faulted traces; it is counted so
-  /// the equivalence tests can prove nothing extra was dropped.
+  /// Hop-1 QUERY events whose session id matched no open session of
+  /// their shard: no SessionStart seen yet (the materialized path drops
+  /// these too), or the session already had its SessionEnd.  A session's
+  /// id is retired at its first SessionEnd, so whether a late event
+  /// matches is a function of its shard's records alone, never of when
+  /// sessions are emitted or of the thread count.  build_dataset instead
+  /// attaches a late QUERY to the ended session; simulated traces hold
+  /// none, which the equivalence tests check through this counter.
   std::uint64_t unmatched_query_events = 0;
-  /// SessionEnd events whose id matched no tracked session.
+  /// SessionEnd events whose id matched no open session of their shard:
+  /// never started, or a second SessionEnd after the one that retired
+  /// the id (build_dataset lets that one overwrite the end time).
   std::uint64_t unmatched_end_events = 0;
 };
 

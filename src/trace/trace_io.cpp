@@ -5,7 +5,7 @@
 #include <memory>
 #include <ostream>
 #include <stdexcept>
-#include <streambuf>
+#include <type_traits>
 
 #include "util/fnv.hpp"
 
@@ -21,19 +21,18 @@ enum class RecordKind : std::uint8_t {
   kSessionEnd = 3,
 };
 
-void put_bytes(std::ostream& out, const void* data, std::size_t n) {
-  out.write(static_cast<const char*>(data), static_cast<std::streamsize>(n));
-}
-
+// The one record encoder writes PoD fields and length-prefixed strings
+// straight into a byte string; every writer (files, digests, spool
+// frames, replay checks) encodes through append_event_binary.
 template <typename T>
-void put_pod(std::ostream& out, T value) {
+void put_pod(std::string& out, T value) {
   static_assert(std::is_trivially_copyable_v<T>);
-  put_bytes(out, &value, sizeof(value));
+  out.append(reinterpret_cast<const char*>(&value), sizeof(value));
 }
 
-void put_string(std::ostream& out, const std::string& s) {
+void put_string(std::string& out, const std::string& s) {
   put_pod(out, static_cast<std::uint32_t>(s.size()));
-  put_bytes(out, s.data(), s.size());
+  out.append(s);
 }
 
 /// Shared helpers for the read cursors below (stream- and memory-backed).
@@ -151,35 +150,6 @@ class MemSource {
   std::uint64_t offset_ = 0;
 };
 
-void write_event(std::ostream& out, const TraceEvent& event) {
-  if (const auto* start = std::get_if<SessionStart>(&event)) {
-    put_pod(out, RecordKind::kSessionStart);
-    put_pod(out, start->time);
-    put_pod(out, start->session_id);
-    put_pod(out, start->ip);
-    put_pod(out, static_cast<std::uint8_t>(start->ultrapeer));
-    put_string(out, start->user_agent);
-  } else if (const auto* msg = std::get_if<MessageEvent>(&event)) {
-    put_pod(out, RecordKind::kMessage);
-    put_pod(out, msg->time);
-    put_pod(out, msg->session_id);
-    put_pod(out, static_cast<std::uint8_t>(msg->type));
-    put_pod(out, msg->ttl);
-    put_pod(out, msg->hops);
-    put_pod(out, msg->guid_hash);
-    put_string(out, msg->query);
-    put_pod(out, static_cast<std::uint8_t>(msg->sha1));
-    put_pod(out, msg->source_ip);
-    put_pod(out, msg->shared_files);
-  } else {
-    const auto& end = std::get<SessionEnd>(event);
-    put_pod(out, RecordKind::kSessionEnd);
-    put_pod(out, end.time);
-    put_pod(out, end.session_id);
-    put_pod(out, static_cast<std::uint8_t>(end.reason));
-  }
-}
-
 template <typename Source>
 TraceEvent read_event(Source& in, RecordKind kind, std::uint32_t version,
                       std::uint64_t record_offset) {
@@ -211,7 +181,17 @@ TraceEvent read_event(Source& in, RecordKind kind, std::uint32_t version,
       SessionEnd e;
       e.time = in.template get_pod<double>();
       e.session_id = in.template get_pod<std::uint64_t>();
-      e.reason = static_cast<EndReason>(in.template get_pod<std::uint8_t>());
+      // Readers index per-reason counters by this byte: refuse what no
+      // EndReason names.
+      const auto at = in.offset();
+      const auto reason = in.template get_pod<std::uint8_t>();
+      if (reason > static_cast<std::uint8_t>(EndReason::kError)) {
+        throw TraceIoError("trace: unknown end reason " +
+                               std::to_string(reason) + " at byte offset " +
+                               std::to_string(at),
+                           at);
+      }
+      e.reason = static_cast<EndReason>(reason);
       return e;
     }
   }
@@ -219,11 +199,6 @@ TraceEvent read_event(Source& in, RecordKind kind, std::uint32_t version,
                          std::to_string(static_cast<int>(kind)) +
                          " at byte offset " + std::to_string(record_offset),
                      record_offset);
-}
-
-void write_header(std::ostream& out) {
-  put_bytes(out, kMagic, sizeof(kMagic));
-  put_pod(out, kVersion);
 }
 
 std::uint32_t read_header(ByteSource& in) {
@@ -243,9 +218,28 @@ std::uint32_t read_header(ByteSource& in) {
 
 }  // namespace
 
+namespace {
+
+/// Encodes the stream header and then each record of `trace`, handing
+/// every encoded piece to `sink` in stream order.
+template <typename Sink>
+void encode_trace(const Trace& trace, Sink&& sink) {
+  std::string buf;
+  append_header_binary(buf);
+  sink(buf);
+  for (const auto& event : trace.events()) {
+    buf.clear();
+    append_event_binary(event, buf);
+    sink(buf);
+  }
+}
+
+}  // namespace
+
 void write_binary(const Trace& trace, std::ostream& out) {
-  write_header(out);
-  for (const auto& event : trace.events()) write_event(out, event);
+  encode_trace(trace, [&out](const std::string& bytes) {
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  });
   if (!out) throw std::runtime_error("trace: write failure");
 }
 
@@ -317,39 +311,38 @@ Trace load_trace_lenient(const std::string& path, SalvageReport* report) {
   return read_trace_lenient(in, report);
 }
 
-namespace {
-
-/// Streambuf that appends everything written to a std::string.
-class StringAppendBuf : public std::streambuf {
- public:
-  explicit StringAppendBuf(std::string& out) : out_(out) {}
-
- protected:
-  int_type overflow(int_type ch) override {
-    if (ch != traits_type::eof()) out_.push_back(static_cast<char>(ch));
-    return ch;
-  }
-  std::streamsize xsputn(const char* data, std::streamsize n) override {
-    out_.append(data, static_cast<std::size_t>(n));
-    return n;
-  }
-
- private:
-  std::string& out_;
-};
-
-}  // namespace
-
 void append_event_binary(const TraceEvent& event, std::string& out) {
-  StringAppendBuf buf(out);
-  std::ostream os(&buf);
-  write_event(os, event);
+  if (const auto* start = std::get_if<SessionStart>(&event)) {
+    put_pod(out, RecordKind::kSessionStart);
+    put_pod(out, start->time);
+    put_pod(out, start->session_id);
+    put_pod(out, start->ip);
+    put_pod(out, static_cast<std::uint8_t>(start->ultrapeer));
+    put_string(out, start->user_agent);
+  } else if (const auto* msg = std::get_if<MessageEvent>(&event)) {
+    put_pod(out, RecordKind::kMessage);
+    put_pod(out, msg->time);
+    put_pod(out, msg->session_id);
+    put_pod(out, static_cast<std::uint8_t>(msg->type));
+    put_pod(out, msg->ttl);
+    put_pod(out, msg->hops);
+    put_pod(out, msg->guid_hash);
+    put_string(out, msg->query);
+    put_pod(out, static_cast<std::uint8_t>(msg->sha1));
+    put_pod(out, msg->source_ip);
+    put_pod(out, msg->shared_files);
+  } else {
+    const auto& end = std::get<SessionEnd>(event);
+    put_pod(out, RecordKind::kSessionEnd);
+    put_pod(out, end.time);
+    put_pod(out, end.session_id);
+    put_pod(out, static_cast<std::uint8_t>(end.reason));
+  }
 }
 
 void append_header_binary(std::string& out) {
-  StringAppendBuf buf(out);
-  std::ostream os(&buf);
-  write_header(os);
+  out.append(kMagic, sizeof(kMagic));
+  put_pod(out, kVersion);
 }
 
 TraceEvent decode_event_binary(const std::uint8_t* data, std::size_t size) {
@@ -383,37 +376,12 @@ Trace load_binary(const std::string& path) {
   }
 }
 
-namespace {
-
-/// Streambuf that hashes every byte written to it and stores nothing.
-class DigestStreambuf : public std::streambuf {
- public:
-  std::uint64_t digest() const noexcept { return hash_; }
-
- protected:
-  int_type overflow(int_type ch) override {
-    if (ch != traits_type::eof()) {
-      const auto byte = static_cast<unsigned char>(ch);
-      hash_ = util::fnv1a_update(hash_, &byte, 1);
-    }
-    return ch;
-  }
-  std::streamsize xsputn(const char* data, std::streamsize n) override {
-    hash_ = util::fnv1a_update(hash_, data, static_cast<std::size_t>(n));
-    return n;
-  }
-
- private:
-  std::uint64_t hash_ = util::kFnvOffsetBasis;
-};
-
-}  // namespace
-
 std::uint64_t binary_digest(const Trace& trace) {
-  DigestStreambuf buf;
-  std::ostream out(&buf);
-  write_binary(trace, out);
-  return buf.digest();
+  std::uint64_t hash = util::kFnvOffsetBasis;
+  encode_trace(trace, [&hash](const std::string& bytes) {
+    hash = util::fnv1a_update(hash, bytes.data(), bytes.size());
+  });
+  return hash;
 }
 
 void write_csv(const Trace& trace, std::ostream& out) {
@@ -441,14 +409,21 @@ void write_csv(const Trace& trace, std::ostream& out) {
 
 struct BinaryTraceWriter::Impl {
   std::ofstream out;
+  std::string buf;  ///< one encoded record (or the header)
   bool closed = false;
+
+  void write_buf() {
+    out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+    buf.clear();
+  }
 };
 
 BinaryTraceWriter::BinaryTraceWriter(const std::string& path)
     : impl_(std::make_unique<Impl>()) {
   impl_->out.open(path, std::ios::binary);
   if (!impl_->out) throw std::runtime_error("trace: cannot open " + path);
-  write_header(impl_->out);
+  append_header_binary(impl_->buf);
+  impl_->write_buf();
 }
 
 BinaryTraceWriter::~BinaryTraceWriter() {
@@ -461,7 +436,8 @@ BinaryTraceWriter::~BinaryTraceWriter() {
 
 void BinaryTraceWriter::on_event(const TraceEvent& event) {
   if (impl_->closed) throw std::logic_error("BinaryTraceWriter: already closed");
-  write_event(impl_->out, event);
+  append_event_binary(event, impl_->buf);
+  impl_->write_buf();
   ++events_written_;
 }
 

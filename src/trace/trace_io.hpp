@@ -102,9 +102,11 @@ Trace load_trace_lenient(const std::string& path,
                          SalvageReport* report = nullptr);
 
 /// Appends the binary encoding of one event — exactly the record the
-/// stream format uses, without the file header — to `out`.  The
-/// building block of the durable spool (trace/spool.hpp), which frames
-/// and checksums each record individually.
+/// stream format uses, without the file header — to `out`.  The one
+/// record encoder: write_binary, binary_digest, BinaryTraceWriter, the
+/// durable spool (trace/spool.hpp, which frames and checksums each record
+/// individually), the checkpoint replay check and the streaming digest
+/// all encode through it.
 void append_event_binary(const TraceEvent& event, std::string& out);
 
 /// Appends the binary stream header ("P2PT" magic + version) to `out` —

@@ -35,6 +35,8 @@
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
+
+#include "unprivileged.hpp"
 #endif
 
 namespace p2pgen {
@@ -237,6 +239,43 @@ TEST(DurableReplace, FailuresThrowAndKeepTheOldFile) {
   fs::remove_all(dir);
 }
 
+/// Valid frames in the spool segments under checkpoint `dir` right now.
+/// A durable child may be writing them: torn tails and half-created
+/// files count as what they hold so far.
+std::uint64_t spool_records(const std::string& dir, unsigned n_shards) {
+  std::uint64_t records = 0;
+  for (const std::string& shard :
+       behavior::checkpoint_shard_dirs(dir, n_shards)) {
+    std::error_code ec;
+    for (fs::directory_iterator it(shard, ec), end; !ec && it != end;
+         it.increment(ec)) {
+      std::size_t index = 0;
+      if (!trace::parse_spool_segment_index(it->path().filename().string(),
+                                            index)) {
+        continue;
+      }
+      try {
+        records += trace::read_spool_segment(it->path().string(),
+                                             /*allow_damage=*/true, nullptr,
+                                             nullptr)
+                       .records;
+      } catch (const std::exception&) {
+        // Not even a segment header yet.
+      }
+    }
+  }
+  return records;
+}
+
+/// True when `dir`'s MANIFEST lists a shard that is not done.
+bool checkpoint_unfinished(const std::string& dir) {
+  try {
+    return !behavior::read_checkpoint_status(dir).complete;
+  } catch (const std::exception&) {
+    return false;  // no MANIFEST yet: nothing a resume could pick up
+  }
+}
+
 TEST(Checkpoint, SigkillAtRandomizedPointsThenResumeIsByteIdentical) {
   const auto model = core::WorkloadModel::paper_default();
   const auto config = tiny_fault_config();
@@ -251,10 +290,17 @@ TEST(Checkpoint, SigkillAtRandomizedPointsThenResumeIsByteIdentical) {
   // whose torn tail the recovery scan has to deal with.
   durability.sync_interval_records = 256;
 
-  // Kill the durable run at randomized delays a few times in a row; each
-  // resume picks up whatever the previous victim left behind.
+  // Kill the durable run mid-run a few times in a row, each time once its
+  // spools hold a randomized number of new valid frames; each resume
+  // picks up whatever the previous victim left behind.  The child is
+  // frozen (SIGSTOP) while the parent checks that the MANIFEST still
+  // lists an unfinished shard, so the SIGKILL cannot land after the run
+  // completed.
   stats::Rng rng(7);
+  int killed = 0;
   for (int round = 0; round < 3; ++round) {
+    const std::uint64_t target =
+        spool_records(dir, 2) + 1 + rng.next_u64() % 2000;
     const pid_t pid = fork();
     ASSERT_GE(pid, 0);
     if (pid == 0) {
@@ -267,17 +313,38 @@ TEST(Checkpoint, SigkillAtRandomizedPointsThenResumeIsByteIdentical) {
         _exit(1);
       }
     }
-    const unsigned delay_ms = 30 + static_cast<unsigned>(rng.next_u64() % 300);
-    ::usleep(delay_ms * 1000);
-    ::kill(pid, SIGKILL);
     int status = 0;
-    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-    // Either we killed it mid-run or it finished cleanly first; both are
-    // valid starting states for a resume.
-    ASSERT_TRUE(WIFSIGNALED(status) ||
-                (WIFEXITED(status) && WEXITSTATUS(status) == 0));
+    bool signalled = false;
+    for (;;) {
+      const pid_t done = ::waitpid(pid, &status, WNOHANG);
+      ASSERT_GE(done, 0);
+      if (done == pid) break;  // finished before the spools grew enough
+      if (spool_records(dir, 2) < target) {
+        ::usleep(200);
+        continue;
+      }
+      ::kill(pid, SIGSTOP);
+      ASSERT_EQ(::waitpid(pid, &status, WUNTRACED), pid);
+      if (!WIFSTOPPED(status)) break;  // exited just before the stop
+      if (checkpoint_unfinished(dir)) {
+        ::kill(pid, SIGKILL);
+        signalled = true;
+      } else {
+        ::kill(pid, SIGCONT);
+      }
+      ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+      break;
+    }
+    if (signalled) {
+      ASSERT_TRUE(WIFSIGNALED(status));
+      ++killed;
+    } else {
+      ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+    }
   }
+  ASSERT_GT(killed, 0) << "no round was killed mid-run";
 
+  const bool unfinished = checkpoint_unfinished(dir);
   const oracle::DurableRun resumed =
       oracle::run_durable(model, config, 2, 2, durability);
   EXPECT_EQ(serialize(resumed.trace), expected);
@@ -287,6 +354,10 @@ TEST(Checkpoint, SigkillAtRandomizedPointsThenResumeIsByteIdentical) {
   // construction (asserted structurally in test_spool, not re-counted
   // here).
   EXPECT_GT(resumed.summary.checkpoints_loaded, 0u);
+  // The last round was killed mid-run, so the resume re-simulated (at
+  // least) one unfinished shard.
+  EXPECT_TRUE(unfinished);
+  EXPECT_LT(resumed.summary.shards_completed_prior, 2u);
 
   // And a second resume sees both shards complete.
   const oracle::DurableRun reloaded =
@@ -678,47 +749,50 @@ TEST(CheckpointSalvage, DamagedUnfinishedSpoolIsTruncatedAndResimulated) {
 
 #if defined(__unix__)
 TEST(CheckpointSalvage, WriteErrorCheckpointsAndStopsCleanly) {
-  if (::geteuid() == 0) {
-    GTEST_SKIP() << "running as root: permission bits are not enforced";
+  const int drop_error = testutil::run_unprivileged([] {
+    const auto model = core::WorkloadModel::paper_default();
+    const auto config = tiny_fault_config();
+    const trace::Trace plain =
+        behavior::simulate_trace_sharded(model, config, 2, 2);
+
+    // Shard 1's spool directory is unwritable: the first append fails the
+    // way a full or failing volume would, and the run must checkpoint and
+    // stop cleanly with the reason in the MANIFEST.
+    const std::string dir = fresh_dir("cleanstop");
+    const std::string shard1 = behavior::checkpoint_shard_dirs(dir, 2)[1];
+    fs::create_directories(shard1);
+    fs::permissions(shard1, fs::perms::owner_read | fs::perms::owner_exec,
+                    fs::perm_options::replace);
+
+    behavior::DurabilityConfig durability;
+    durability.dir = dir;
+    try {
+      (void)behavior::simulate_to_spools(model, config, 2, 2, durability);
+      FAIL() << "expected CheckpointStopped";
+    } catch (const behavior::CheckpointStopped& stopped) {
+      EXPECT_EQ(stopped.reason(), "io-error");
+    }
+    behavior::CheckpointStatus status = behavior::read_checkpoint_status(dir);
+    EXPECT_EQ(status.stop_reason, "io-error");
+    EXPECT_FALSE(status.stop_detail.empty());
+    EXPECT_FALSE(status.complete);
+
+    // "Free disk space" and resume: the run completes byte-identically and
+    // the stale stop reason is cleared.
+    fs::permissions(shard1, fs::perms::owner_all, fs::perm_options::replace);
+    durability.resume = true;
+    EXPECT_EQ(
+        serialize(oracle::run_durable(model, config, 2, 2, durability).trace),
+        serialize(plain));
+    status = behavior::read_checkpoint_status(dir);
+    EXPECT_TRUE(status.complete);
+    EXPECT_TRUE(status.stop_reason.empty());
+    fs::remove_all(dir);
+  });
+  if (drop_error != 0) {
+    GTEST_SKIP() << "cannot drop root privileges: "
+                 << std::strerror(drop_error);
   }
-  const auto model = core::WorkloadModel::paper_default();
-  const auto config = tiny_fault_config();
-  const trace::Trace plain =
-      behavior::simulate_trace_sharded(model, config, 2, 2);
-
-  // Shard 1's spool directory is unwritable: the first append fails the
-  // way a full or failing volume would, and the run must checkpoint and
-  // stop cleanly with the reason in the MANIFEST.
-  const std::string dir = fresh_dir("cleanstop");
-  const std::string shard1 = behavior::checkpoint_shard_dirs(dir, 2)[1];
-  fs::create_directories(shard1);
-  fs::permissions(shard1, fs::perms::owner_read | fs::perms::owner_exec,
-                  fs::perm_options::replace);
-
-  behavior::DurabilityConfig durability;
-  durability.dir = dir;
-  try {
-    (void)behavior::simulate_to_spools(model, config, 2, 2, durability);
-    FAIL() << "expected CheckpointStopped";
-  } catch (const behavior::CheckpointStopped& stopped) {
-    EXPECT_EQ(stopped.reason(), "io-error");
-  }
-  behavior::CheckpointStatus status = behavior::read_checkpoint_status(dir);
-  EXPECT_EQ(status.stop_reason, "io-error");
-  EXPECT_FALSE(status.stop_detail.empty());
-  EXPECT_FALSE(status.complete);
-
-  // "Free disk space" and resume: the run completes byte-identically and
-  // the stale stop reason is cleared.
-  fs::permissions(shard1, fs::perms::owner_all, fs::perm_options::replace);
-  durability.resume = true;
-  EXPECT_EQ(
-      serialize(oracle::run_durable(model, config, 2, 2, durability).trace),
-      serialize(plain));
-  status = behavior::read_checkpoint_status(dir);
-  EXPECT_TRUE(status.complete);
-  EXPECT_TRUE(status.stop_reason.empty());
-  fs::remove_all(dir);
 }
 
 TEST(CheckpointSalvage, SidecarWriteErrorCheckpointsAndStopsCleanly) {

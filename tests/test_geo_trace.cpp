@@ -202,6 +202,23 @@ TEST(TraceIo, UnknownRecordKindNamesTheOffset) {
   }
 }
 
+TEST(TraceIo, UnknownEndReasonNamesTheOffset) {
+  const auto original = sample_trace();
+  std::stringstream buffer;
+  trace::write_binary(original, buffer);
+  std::string data = buffer.str();
+  data.back() = '\x7f';  // the final SessionEnd's reason byte
+  std::stringstream in(data);
+  try {
+    trace::read_binary(in);
+    FAIL() << "an unknown end reason was accepted";
+  } catch (const trace::TraceIoError& e) {
+    EXPECT_EQ(e.byte_offset(), data.size() - 1);
+    EXPECT_NE(std::string(e.what()).find("unknown end reason"),
+              std::string::npos);
+  }
+}
+
 TEST(TraceIo, LoadBinaryPrefixesPathOnError) {
   const std::string path = ::testing::TempDir() + "/p2pgen_trace_cut.bin";
   const auto original = sample_trace();

@@ -21,6 +21,8 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
+
+#include "unprivileged.hpp"
 #define P2PGEN_TEST_HAVE_UNISTD 1
 #else
 #define P2PGEN_TEST_HAVE_UNISTD 0
@@ -693,45 +695,51 @@ TEST(SpoolSalvage, TruncateToValidPrefixEnablesStrictReplay) {
 
 #if P2PGEN_TEST_HAVE_UNISTD
 TEST(SpoolSalvage, WriteErrorsCarryErrno) {
-  if (::geteuid() == 0) {
-    GTEST_SKIP() << "running as root: permission bits are not enforced";
-  }
-  const std::string dir = temp_spool_dir("salvage_eacces");
-  fs::permissions(dir, fs::perms::owner_read | fs::perms::owner_exec,
-                  fs::perm_options::replace);
-  try {
-    trace::SpoolWriter writer(dir);
+  const int drop_error = testutil::run_unprivileged([] {
+    const std::string dir = temp_spool_dir("salvage_eacces");
+    fs::permissions(dir, fs::perms::owner_read | fs::perms::owner_exec,
+                    fs::perm_options::replace);
+    try {
+      trace::SpoolWriter writer(dir);
+      fs::permissions(dir, fs::perms::owner_all, fs::perm_options::replace);
+      FAIL() << "SpoolWriter opened a segment in an unwritable directory";
+    } catch (const trace::SpoolWriteError& error) {
+      EXPECT_EQ(error.error_code(), EACCES);
+    }
     fs::permissions(dir, fs::perms::owner_all, fs::perm_options::replace);
-    FAIL() << "SpoolWriter opened a segment in an unwritable directory";
-  } catch (const trace::SpoolWriteError& error) {
-    EXPECT_EQ(error.error_code(), EACCES);
+  });
+  if (drop_error != 0) {
+    GTEST_SKIP() << "cannot drop root privileges: "
+                 << std::strerror(drop_error);
   }
-  fs::permissions(dir, fs::perms::owner_all, fs::perm_options::replace);
 }
 
 TEST(Spool, FailedDirectoryFsyncOnSegmentRollIsAWriteError) {
-  if (::geteuid() == 0) {
-    GTEST_SKIP() << "running as root: permission bits are not enforced";
+  const int drop_error = testutil::run_unprivileged([] {
+    const std::string dir = temp_spool_dir("dir_fsync");
+    const trace::Trace trace = make_trace(4, 11);
+    ASSERT_GT(trace.size(), 2u);
+    trace::SpoolConfig config;
+    config.segment_max_records = 2;
+    trace::SpoolWriter writer(dir, config);
+    // Write and search but no read: the next segment file can still be
+    // created, but the directory cannot be opened to fsync its new entry.
+    fs::permissions(dir, fs::perms::owner_write | fs::perms::owner_exec,
+                    fs::perm_options::replace);
+    int error_code = 0;
+    try {
+      for (const auto& event : trace.events()) writer.append(event);
+    } catch (const trace::SpoolWriteError& error) {
+      error_code = error.error_code();
+    }
+    fs::permissions(dir, fs::perms::owner_all, fs::perm_options::replace);
+    EXPECT_EQ(error_code, EACCES)
+        << "a segment roll ignored its failed directory fsync";
+  });
+  if (drop_error != 0) {
+    GTEST_SKIP() << "cannot drop root privileges: "
+                 << std::strerror(drop_error);
   }
-  const std::string dir = temp_spool_dir("dir_fsync");
-  const trace::Trace trace = make_trace(4, 11);
-  ASSERT_GT(trace.size(), 2u);
-  trace::SpoolConfig config;
-  config.segment_max_records = 2;
-  trace::SpoolWriter writer(dir, config);
-  // Write and search but no read: the next segment file can still be
-  // created, but the directory cannot be opened to fsync its new entry.
-  fs::permissions(dir, fs::perms::owner_write | fs::perms::owner_exec,
-                  fs::perm_options::replace);
-  int error_code = 0;
-  try {
-    for (const auto& event : trace.events()) writer.append(event);
-  } catch (const trace::SpoolWriteError& error) {
-    error_code = error.error_code();
-  }
-  fs::permissions(dir, fs::perms::owner_all, fs::perm_options::replace);
-  EXPECT_EQ(error_code, EACCES)
-      << "a segment roll ignored its failed directory fsync";
 }
 #endif
 

@@ -26,6 +26,7 @@
 #include "core/model_io.hpp"
 #include "durable_oracle.hpp"
 #include "geo/geoip.hpp"
+#include "obs/span.hpp"
 #include "scenario/curated.hpp"
 #include "stats/rng.hpp"
 #include "trace/spool.hpp"
@@ -145,6 +146,20 @@ void expect_streaming_matches(const analysis::StreamingResult& got,
   EXPECT_EQ(model_string(got.model), model_string(want.model));
 }
 
+/// Pins the unmatched-event counters.  An undamaged spool the simulator
+/// writes matches each hop-1 QUERY and SessionEnd to an open session of
+/// its shard, so the late-event rule (streaming.hpp) never separates the
+/// streaming pass from build_dataset on it.
+void expect_unmatched(const analysis::StreamingResult& got,
+                      std::uint64_t queries, std::uint64_t ends) {
+  EXPECT_EQ(got.streaming.unmatched_query_events, queries);
+  EXPECT_EQ(got.streaming.unmatched_end_events, ends);
+}
+
+void expect_all_events_matched(const analysis::StreamingResult& got) {
+  expect_unmatched(got, 0, 0);
+}
+
 /// Builds a durable checkpoint and returns its spool dirs; the
 /// materialized oracle later resumes the SAME checkpoint so both paths
 /// consume identical bytes.
@@ -182,6 +197,7 @@ TEST(Streaming, MatchesMaterializedOnFaultedMultiShardSpoolAtAnyThreadCount) {
         spool_dirs, geo::GeoIpDatabase::synthetic(), options);
     SCOPED_TRACE(std::to_string(threads) + " threads");
     expect_streaming_matches(got, want);
+    expect_all_events_matched(got);
     // Pass-shape counters that do not depend on the thread count must
     // not either (wave count legitimately does).
     if (threads == 1) {
@@ -220,6 +236,7 @@ TEST(Streaming, MatchesMaterializedOnChaosScenarioSpools) {
         spool_dirs, geo::GeoIpDatabase::synthetic(), options);
     SCOPED_TRACE(name);
     expect_streaming_matches(got, want);
+    expect_all_events_matched(got);
     fs::remove_all(dir);
   }
 }
@@ -306,7 +323,31 @@ TEST(Streaming, TornTailIsTruncatedExactlyLikeReadSpool) {
   const auto got = analysis::analyze_spools({dir},
                                             geo::GeoIpDatabase::synthetic());
   expect_streaming_matches(got, want);
+  expect_all_events_matched(got);
   EXPECT_EQ(got.streaming.shards_torn, 1u);
+  fs::remove_all(dir);
+}
+
+TEST(Streaming, EachMergeStretchBetweenDecodeWavesIsOneSpan) {
+  const std::string dir = fresh_dir("merge_spans");
+  spool_trace(synthetic_trace(64, 7), dir, 16);
+  obs::TraceLog& log = obs::TraceLog::global();
+  log.clear();
+  log.set_enabled(true);
+  const auto got =
+      analysis::analyze_spools({dir}, geo::GeoIpDatabase::synthetic());
+  log.set_enabled(false);
+  std::uint64_t merges = 0;
+  std::uint64_t waves = 0;
+  for (const auto& span : log.spans()) {
+    merges += span.name == "streaming.merge" ? 1 : 0;
+    waves += span.name == "streaming.decode_wave" ? 1 : 0;
+  }
+  log.clear();
+  EXPECT_EQ(waves, got.streaming.decode_waves);
+  ASSERT_GT(waves, 2u);
+  EXPECT_GE(merges, 1u);
+  EXPECT_LE(merges, waves + 1);
   fs::remove_all(dir);
 }
 
@@ -337,14 +378,16 @@ TEST(Streaming, TrackedSessionTableStaysBoundedUnderChurnStorm) {
   const auto spool_dirs = build_checkpoint(config, 2, dir);
   const auto got =
       analysis::analyze_spools(spool_dirs, geo::GeoIpDatabase::synthetic());
-  // The table's high-water mark is session CONCURRENCY, not session
-  // count: under churn the trace holds far more sessions than are ever
-  // simultaneously tracked.
+  // Sessions leave the table once they and every earlier session have
+  // ended, so its high-water mark stays below the session count (under
+  // churn only just: one long-lived early session holds most of the
+  // later ones), and open sessions are a subset of it.
   ASSERT_GT(got.stats.direct_connections, 0u);
   EXPECT_GT(got.streaming.max_tracked_sessions, 0u);
   EXPECT_LT(got.streaming.max_tracked_sessions, got.stats.direct_connections);
   EXPECT_LE(got.streaming.max_open_sessions,
             got.streaming.max_tracked_sessions);
+  expect_all_events_matched(got);
   fs::remove_all(dir);
 }
 
@@ -359,6 +402,102 @@ TEST(Streaming, ExceedingTheTrackedSessionCapThrows) {
                                         geo::GeoIpDatabase::synthetic(),
                                         options),
                std::runtime_error);
+  fs::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
+// The late-event rule (streaming.hpp): a session's id is retired at its
+// first SessionEnd, per shard, whatever the emission timing.
+
+trace::TraceEvent start_event(double time, std::uint64_t id) {
+  trace::SessionStart start;
+  start.time = time;
+  start.session_id = id;
+  start.ip = 0x0a000001;
+  start.user_agent = "LimeWire/4.2";
+  return start;
+}
+
+trace::TraceEvent hop1_query(double time, std::uint64_t id,
+                             const std::string& text) {
+  trace::MessageEvent msg;
+  msg.time = time;
+  msg.session_id = id;
+  msg.type = gnutella::MessageType::kQuery;
+  msg.ttl = 3;
+  msg.hops = 1;
+  msg.query = text;
+  return msg;
+}
+
+trace::TraceEvent end_event(double time, std::uint64_t id) {
+  trace::SessionEnd end;
+  end.time = time;
+  end.session_id = id;
+  end.reason = trace::EndReason::kBye;
+  return end;
+}
+
+TEST(Streaming, EventsAfterTheirSessionEndAreUnmatchedAtAnyThreadCount) {
+  // Shard 0: session 1 ends at t=5, then a late QUERY, a duplicate
+  // SessionEnd and a QUERY for an id that never started; session 2 is
+  // still open at EOF.  Shard 1: session 1 is open from t=0.5 to t=20, so
+  // shard 0's session 1 is still tracked (not emitted) while its late
+  // events arrive; then a duplicate SessionEnd and an unknown-id QUERY.
+  const std::string dir = fresh_dir("late_events");
+  const std::vector<std::string> dirs = {dir + "/shard-0", dir + "/shard-1"};
+  const std::vector<std::vector<trace::TraceEvent>> shards = {
+      {start_event(1.0, 1), hop1_query(2.0, 1, "metallica one"),
+       end_event(5.0, 1), hop1_query(6.0, 1, "late query"),
+       end_event(7.0, 1), hop1_query(8.0, 99, "unknown session"),
+       start_event(9.0, 2), hop1_query(10.0, 2, "still open")},
+      {start_event(0.5, 1), hop1_query(3.0, 1, "madonna"),
+       hop1_query(6.0, 1, "madonna holiday"), end_event(20.0, 1),
+       end_event(21.0, 1), hop1_query(22.0, 5, "unknown session")}};
+  trace::SpoolConfig config;
+  config.segment_max_records = 2;  // many segments, and an empty last one
+  std::vector<trace::Trace> traces(shards.size());
+  for (std::size_t k = 0; k < shards.size(); ++k) {
+    trace::SpoolWriter writer(dirs[k], config);
+    for (const auto& event : shards[k]) {
+      writer.append(event);
+      traces[k].append(trace::TraceEvent(event));
+    }
+    writer.close();
+  }
+  const trace::Trace merged = trace::merge_traces(std::move(traces));
+  // build_dataset attaches the late QUERY to the ended session.  (Shard
+  // 0's session 2 has no end: truncated, it is never counted.)
+  const Materialized materialized = materialize(merged);
+  EXPECT_EQ(materialized.filters.initial_queries, 4u);
+
+  analysis::StreamingResult first;
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    analysis::StreamingOptions options;
+    options.threads = threads;
+    const auto got =
+        analysis::analyze_spools(dirs, geo::GeoIpDatabase::synthetic(), options);
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    expect_unmatched(got, 3, 2);
+    EXPECT_EQ(got.trace_digest, materialized.digest);
+    expect_stats_equal(got.stats, materialized.stats);
+    EXPECT_EQ(got.stats.direct_connections, 3u);
+    EXPECT_EQ(got.stats.hop1_queries, 7u);
+    EXPECT_EQ(got.end_reason_counts[static_cast<std::size_t>(
+                  trace::EndReason::kBye)],
+              4u);
+    EXPECT_EQ(got.filters.initial_sessions, 2u);
+    EXPECT_EQ(got.filters.initial_queries, 3u);
+    EXPECT_EQ(got.streaming.max_open_sessions, 2u);
+    EXPECT_EQ(got.streaming.max_tracked_sessions, 3u);
+    if (threads == 1) {
+      first = got;
+    } else {
+      expect_filters_equal(got.filters, first.filters);
+      expect_measures_equal(got.measures, first.measures);
+      EXPECT_EQ(model_string(got.model), model_string(first.model));
+    }
+  }
   fs::remove_all(dir);
 }
 
@@ -442,6 +581,7 @@ TEST(StreamingSalvage, CleanSpoolSalvagePassIsBitIdenticalToStrict) {
     EXPECT_EQ(model_string(got.model), model_string(want.model));
     EXPECT_FALSE(got.salvage.damaged());
     EXPECT_EQ(got.salvage.censored_sessions, 0u);
+    expect_all_events_matched(got);
   }
   fs::remove_all(dir);
 }
@@ -499,6 +639,9 @@ TEST(StreamingSalvage, MatchesMaterializedGapCensoredAnalysisOnDamage) {
         spool_dirs, geo::GeoIpDatabase::synthetic(), options);
     SCOPED_TRACE(std::to_string(threads) + " threads");
     expect_streaming_matches(got, want);
+    // The quarantined frame held a SessionStart: its SessionEnd matches
+    // no session, in build_dataset too.
+    expect_unmatched(got, 0, 1);
     expect_salvage_reports_equal(got.salvage, want_salvage);
   }
   fs::remove_all(dir);
