@@ -3,14 +3,16 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
 
 #include "analysis/parallel.hpp"
+#include "behavior/checkpoint.hpp"
 #include "behavior/sharded_simulation.hpp"
 #include "obs/metrics.hpp"
-#include "trace/trace_io.hpp"
+#include "trace/spool.hpp"
 #include "util/thread_pool.hpp"
 
 namespace p2pgen::bench {
@@ -28,27 +30,37 @@ void write_metrics_at_exit() {
   if (!out) std::cerr << "[bench] failed writing metrics to " << path << "\n";
 }
 
-// The shard cache lives in the working directory across bench runs, so a
-// truncated write (killed bench, full disk) or a stale file must not
-// silently skew every table.  Each cached shard carries a sidecar with
-// its trace::binary_digest; a shard only counts as cached when the
-// re-computed digest of the loaded trace matches the sidecar.
-std::string digest_sidecar_path(const std::string& path) {
-  return path + ".digest";
-}
-
-void write_digest_sidecar(const trace::Trace& trace, const std::string& path) {
-  std::ofstream out(digest_sidecar_path(path));
-  out << std::hex << trace::binary_digest(trace) << "\n";
-}
-
-bool digest_sidecar_matches(const trace::Trace& trace,
-                            const std::string& path) {
-  std::ifstream in(digest_sidecar_path(path));
-  if (!in) return false;
-  std::uint64_t expected = 0;
-  in >> std::hex >> expected;
-  return in && trace::binary_digest(trace) == expected;
+// One attempt at the cached trace: simulate_to_spools over the cache
+// checkpoint, which resumes an existing MANIFEST (a complete one
+// simulates nothing; a killed cold run continues where it stopped), then
+// its shard spools read back and merged.
+trace::Trace read_or_build_cache(const core::WorkloadModel& model,
+                                 const behavior::TraceSimulationConfig& config,
+                                 const BenchScale& scale,
+                                 const std::string& dir) {
+  behavior::DurabilityConfig durability;
+  durability.dir = dir;
+  // A cache needs shard-completion durability only: a crash re-simulates
+  // the unfinished shards.
+  durability.sync_interval_records = 0;
+  const bool resuming = behavior::checkpoint_exists(dir);
+  if (resuming && behavior::read_checkpoint_status(dir).complete) {
+    std::cerr << "[bench] loading cached trace from " << dir << "\n";
+  } else {
+    std::cerr << "[bench] " << (resuming ? "resuming" : "simulating")
+              << " " << scale.shards << " shard(s) of " << scale.days
+              << " day(s) each on " << scale.threads
+              << " thread(s) (master seed " << scale.seed << ") into " << dir
+              << "\n";
+  }
+  const std::vector<std::string> shard_dirs = behavior::simulate_to_spools(
+      model, config, scale.shards, scale.threads, durability);
+  std::vector<trace::Trace> shards;
+  shards.reserve(shard_dirs.size());
+  for (const std::string& shard_dir : shard_dirs) {
+    shards.push_back(trace::read_spool(shard_dir));
+  }
+  return trace::merge_traces(std::move(shards));
 }
 
 }  // namespace
@@ -92,19 +104,12 @@ behavior::TraceSimulationConfig bench_simulation_config(
   return config;
 }
 
-std::string bench_shard_cache_path(const BenchScale& scale, unsigned shard) {
-  const behavior::TraceSimulationConfig config = bench_simulation_config(scale);
+std::string bench_cache_dir(const BenchScale& scale) {
   std::ostringstream os;
-  // The cache key embeds simulation_config_digest, which covers EVERY
-  // trace-shaping field — client mix, replenish and degradation knobs,
-  // scenario schedules included — not just the fault block.  A bench run
-  // under any config variation can therefore never pick up a stale shard
-  // cached under a different one (the bug class PR 2 fixed for faults and
-  // shard counts, closed for all remaining fields).
-  os << "p2pgen_bench_shard_" << scale.days << "d_" << scale.arrival_rate
-     << "r_w" << config.warmup_days << "_" << scale.seed << "_c" << std::hex
-     << behavior::simulation_config_digest(config) << std::dec << "_s" << shard
-     << "of" << scale.shards << ".bin";
+  os << "p2pgen_bench_cache_" << std::hex << std::setfill('0') << std::setw(16)
+     << behavior::run_identity_digest(core::WorkloadModel::paper_default(),
+                                      bench_simulation_config(scale),
+                                      scale.shards);
   return os.str();
 }
 
@@ -114,60 +119,34 @@ const trace::Trace& bench_trace() {
     analysis::set_analysis_threads(scale.threads);
     const behavior::TraceSimulationConfig config =
         bench_simulation_config(scale);
-    const bool no_cache = std::getenv("P2PGEN_NO_CACHE") != nullptr;
+    const core::WorkloadModel model = core::WorkloadModel::paper_default();
 
-    std::vector<trace::Trace> shards(scale.shards);
-    std::vector<unsigned> missing;
-    for (unsigned k = 0; k < scale.shards; ++k) {
-      const std::string path = bench_shard_cache_path(scale, k);
-      if (!no_cache) {
+    trace::Trace merged;
+    bool cached = false;
+    if (std::getenv("P2PGEN_NO_CACHE") == nullptr) {
+      const std::string dir = bench_cache_dir(scale);
+      // A damaged cache (a torn or corrupt spool) is removed and rebuilt
+      // once; if that fails too, the trace is simulated in memory.
+      for (int attempt = 0; attempt < 2 && !cached; ++attempt) {
         try {
-          trace::Trace cached = trace::load_binary(path);
-          if (digest_sidecar_matches(cached, path)) {
-            shards[k] = std::move(cached);
-            std::cerr << "[bench] loaded cached shard " << k << " ("
-                      << shards[k].size() << " events) from " << path << "\n";
-            continue;
-          }
-          std::cerr << "[bench] cached shard " << k
-                    << " failed digest validation, regenerating: " << path
+          merged = read_or_build_cache(model, config, scale, dir);
+          cached = true;
+        } catch (const std::exception& e) {
+          std::cerr << "[bench] trace cache " << dir << " failed: " << e.what()
                     << "\n";
-        } catch (const std::exception&) {
-          // fall through to simulation
+          std::error_code ignored;
+          std::filesystem::remove_all(dir, ignored);
         }
       }
-      missing.push_back(k);
     }
-
-    if (!missing.empty()) {
-      std::cerr << "[bench] simulating " << missing.size() << " shard(s) of "
+    if (!cached) {
+      std::cerr << "[bench] simulating " << scale.shards << " shard(s) of "
                 << scale.days << " day(s) each on " << scale.threads
-                << " thread(s) (master seed " << scale.seed << ")...\n";
-      const core::WorkloadModel model = core::WorkloadModel::paper_default();
-      util::ThreadPool pool(std::min<std::size_t>(scale.threads,
-                                                  missing.size()));
-      pool.run_indexed(missing.size(), [&](std::size_t i) {
-        const unsigned k = missing[i];
-        shards[k] = behavior::simulate_shard(model, config, k);
-        if (!no_cache) {
-          try {
-            const std::string path = bench_shard_cache_path(scale, k);
-            trace::save_binary(shards[k], path);
-            write_digest_sidecar(shards[k], path);
-          } catch (const std::exception& e) {
-            std::cerr << "[bench] shard cache write failed: " << e.what()
-                      << "\n";
-          }
-        }
-      });
-      for (const unsigned k : missing) {
-        std::cerr << "[bench] simulated shard " << k << " ("
-                  << shards[k].size() << " events)\n";
-      }
-      util::publish_pool_stats("pool.bench_sim", pool.stats());
+                << " thread(s) (master seed " << scale.seed
+                << ") without the cache\n";
+      merged = behavior::simulate_trace_sharded(model, config, scale.shards,
+                                                scale.threads);
     }
-
-    trace::Trace merged = trace::merge_traces(std::move(shards));
     std::cerr << "[bench] standard trace: " << merged.size() << " events, "
               << scale.shards << " shard(s)\n";
     return merged;

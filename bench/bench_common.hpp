@@ -3,18 +3,20 @@
 // Every bench regenerates one table or figure of the paper from the same
 // simulated measurement trace (DESIGN.md §3).  The trace is produced once
 // per configuration — as P2PGEN_SHARDS independently-seeded replica
-// shards (DESIGN.md §7), each cached on disk under a key that names every
-// input that shapes it (days, rate, seed, shard index, shard count, and
-// the fault-config digest), so traces from different configurations are
-// never silently reused.  Missing shards are simulated concurrently on a
-// work-stealing pool; the merged trace is byte-identical for any thread
-// count.  Scale knobs:
+// shards (DESIGN.md §7) — into a durable checkpoint directory in the
+// working directory (behavior/checkpoint.hpp), named by the run identity
+// digest (model, every trace-shaping config field, shard count), so
+// traces from different configurations are never silently reused.  A
+// later run resumes that checkpoint: complete, it is read back without
+// simulating; cut short, its unfinished shards are simulated
+// concurrently on a work-stealing pool.  The merged trace is
+// byte-identical for any thread count.  Scale knobs:
 //   P2PGEN_DAYS=<n>    — simulated days per shard (default 2)
 //   P2PGEN_FULL=1      — paper scale: 40 days (overrides P2PGEN_DAYS)
 //   P2PGEN_SHARDS=<n>  — replica shards merged into the trace (default 1)
 //   P2PGEN_THREADS=<n> — threads for simulation AND the analysis passes
 //                        (default: hardware concurrency)
-//   P2PGEN_NO_CACHE=1  — always re-simulate
+//   P2PGEN_NO_CACHE=1  — simulate in memory; touch no disk
 #pragma once
 
 #include <iostream>
@@ -48,10 +50,9 @@ BenchScale bench_scale();
 behavior::TraceSimulationConfig bench_simulation_config(
     const BenchScale& scale);
 
-/// On-disk cache file of one shard of the standard trace.  The key names
-/// days, arrival rate, warmup, master seed, fault-config digest, shard
-/// index AND shard count, so differently-configured traces never alias.
-std::string bench_shard_cache_path(const BenchScale& scale, unsigned shard);
+/// Checkpoint directory caching the standard trace:
+/// "p2pgen_bench_cache_<run identity digest>" in the working directory.
+std::string bench_cache_dir(const BenchScale& scale);
 
 /// Simulates (or loads from cache) the standard measurement trace.
 const trace::Trace& bench_trace();

@@ -88,9 +88,11 @@
 //
 // Pass shards > 1 to run that many independently-seeded replica
 // measurements (each `days` long) merged into one trace — DESIGN.md §7 —
-// on up to `threads` threads (default: hardware concurrency).  The
+// on up to `threads` threads (default: hardware concurrency); both must
+// be positive decimal integers, or the run exits 1 before simulating.  The
 // merged trace is byte-identical for any thread count, and the analysis
 // passes below also fan across the same thread budget.
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -134,6 +136,14 @@ constexpr const char* kUsage =
     "[--salvage] [--scenario=<name-or-json-file>] [--qtrace-sample=<rate>] "
     "[--query-trace=<dir>] [--timeline=<dir>] [--timeline-tick=<secs>] "
     "[--heartbeat=<secs>] [--list-scenarios]\n";
+
+// Parses a shard or thread count: a positive decimal integer that fits
+// in `out`.  Signs, blanks, trailing text and zero are refused.
+bool parse_count(const char* text, unsigned& out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, out);
+  return ec == std::errc() && ptr == end && out > 0;
+}
 
 // One CSV row per (tick, shard): tick bounds, the tick's sim day and hour,
 // and the per-region peak/non-peak band of §4.2 — so the EXPERIMENTS.md
@@ -260,13 +270,12 @@ int main(int argc, char** argv) {
   config.qtrace.sample_rate = qtrace_sample;
   config.timeline.tick_seconds = timeline_tick;
 
-  const unsigned shards =
-      args.size() > 3 ? static_cast<unsigned>(std::atoi(args[3])) : 1;
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const unsigned threads =
-      args.size() > 4 ? static_cast<unsigned>(std::atoi(args[4])) : hw;
-  if (shards == 0) {
-    std::cerr << "measurement_pipeline: shards must be >= 1\n";
+  unsigned shards = 1;
+  unsigned threads = std::max(1u, std::thread::hardware_concurrency());
+  if ((args.size() > 3 && !parse_count(args[3], shards)) ||
+      (args.size() > 4 && !parse_count(args[4], threads))) {
+    std::cerr << "measurement_pipeline: shards and threads must be positive "
+                 "decimal integers\n";
     return 1;
   }
   analysis::set_analysis_threads(threads);

@@ -1,22 +1,27 @@
-// p2pgen trace inspector — CLI over measurement trace files.
+// p2pgen trace inspector — CLI over measurement trace spools.
 //
-//   trace_inspector simulate <out.bin> [days] [seed]   run the measurement
-//                                                      simulation, save trace
-//   trace_inspector stats <trace.bin>                  Table-1 style counters
-//   trace_inspector filters <trace.bin>                Table-2 filter report
-//   trace_inspector sessions <trace.bin> [n]           longest n sessions
-//   trace_inspector figures <trace.bin> <dir>          export figure CSVs + gnuplot
-//   trace_inspector csv <trace.bin>                    dump as CSV to stdout
+// A trace is a spool directory (trace/spool.hpp): CRC-framed records in
+// numbered segment files, the one on-disk trace format.
+//
+//   trace_inspector simulate <dir> [days] [seed]   run the measurement
+//                                                  simulation into a spool
+//   trace_inspector stats <dir>                    Table-1 style counters
+//   trace_inspector filters <dir>                  Table-2 filter report
+//   trace_inspector sessions <dir> [n]             longest n sessions
+//   trace_inspector figures <dir> <out-dir>        export figure CSVs + gnuplot
+//   trace_inspector csv <dir>                      dump as CSV to stdout
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <iostream>
+#include <stdexcept>
 
 #include "analysis/filters.hpp"
 #include "analysis/report.hpp"
 #include "behavior/trace_simulation.hpp"
 #include "geo/geoip.hpp"
-#include "trace/trace_io.hpp"
+#include "trace/spool.hpp"
 
 namespace {
 
@@ -25,29 +30,33 @@ using namespace p2pgen;
 int usage() {
   std::cerr
       << "usage:\n"
-         "  trace_inspector simulate <out.bin> [days] [seed]\n"
-         "  trace_inspector stats <trace.bin>\n"
-         "  trace_inspector filters <trace.bin>\n"
-         "  trace_inspector sessions <trace.bin> [n]\n"
-         "  trace_inspector figures <trace.bin> <dir>\n"
-         "  trace_inspector csv <trace.bin>\n";
+         "  trace_inspector simulate <dir> [days] [seed]\n"
+         "  trace_inspector stats <dir>\n"
+         "  trace_inspector filters <dir>\n"
+         "  trace_inspector sessions <dir> [n]\n"
+         "  trace_inspector figures <dir> <out-dir>\n"
+         "  trace_inspector csv <dir>\n";
   return 2;
 }
 
-int cmd_simulate(const std::string& path, double days, std::uint64_t seed) {
+int cmd_simulate(const std::string& dir, double days, std::uint64_t seed) {
   behavior::TraceSimulationConfig config;
   config.duration_days = days;
   config.seed = seed;
-  trace::BinaryTraceWriter writer(path);
+  trace::SpoolWriter writer(dir);
+  if (writer.durable_records() != 0) {
+    throw std::runtime_error(dir + " already holds a spool of " +
+                             std::to_string(writer.durable_records()) +
+                             " records; simulate into an empty directory");
+  }
   behavior::TraceSimulation sim(core::WorkloadModel::paper_default(), config,
                                 writer);
   std::cerr << "simulating " << days << " day(s), seed " << seed << "...\n";
   sim.run();
   writer.close();
-  std::cerr << "wrote " << writer.events_written() << " events to " << path
-            << "\n";
+  std::cerr << "wrote " << writer.records() << " events to " << dir << "\n";
   // Session-teardown histogram straight from the node's per-reason
-  // counters — no second pass over the trace file needed.
+  // counters — no second pass over the spool needed.
   const auto& ends = sim.node().session_ends();
   const std::uint64_t total =
       std::max<std::uint64_t>(1, ends[0] + ends[1] + ends[2] + ends[3]);
@@ -61,6 +70,21 @@ int cmd_simulate(const std::string& path, double days, std::uint64_t seed) {
               << "%)\n";
   }
   return 0;
+}
+
+/// Reads the spool under `dir`; a torn tail (the unsynced last frame of
+/// a killed writer) is dropped and reported on stderr.
+trace::Trace load_spool(const std::string& dir) {
+  if (!std::filesystem::is_directory(dir)) {
+    throw std::runtime_error(dir + " is not a spool directory");
+  }
+  trace::SpoolRecoveryReport report;
+  trace::Trace trace = trace::read_spool(dir, &report);
+  if (report.torn) {
+    std::cerr << "warning: dropped a torn tail of " << report.bytes_truncated
+              << " byte(s) in " << report.bad_segment << "\n";
+  }
+  return trace;
 }
 
 int cmd_stats(const trace::Trace& trace) {
@@ -123,15 +147,15 @@ int cmd_sessions(const trace::Trace& trace, std::size_t n) {
 int main(int argc, char** argv) {
   if (argc < 3) return usage();
   const std::string command = argv[1];
-  const std::string path = argv[2];
+  const std::string dir = argv[2];
   try {
     if (command == "simulate") {
       const double days = argc > 3 ? std::atof(argv[3]) : 0.5;
       const std::uint64_t seed =
           argc > 4 ? static_cast<std::uint64_t>(std::atoll(argv[4])) : 20040315;
-      return cmd_simulate(path, days, seed);
+      return cmd_simulate(dir, days, seed);
     }
-    const trace::Trace trace = trace::load_binary(path);
+    const trace::Trace trace = load_spool(dir);
     if (command == "stats") return cmd_stats(trace);
     if (command == "filters") return cmd_filters(trace);
     if (command == "sessions") {

@@ -13,11 +13,12 @@
 // tail of the *last* segment: the scan truncates the torn frame(s) and
 // the writer resumes appending cleanly.  Damage to an interior segment
 // is not a tail — records after it would silently go missing — so it is
-// a hard error, exactly like the strict trace reader.
+// a hard error (salvage mode reads around it instead, DESIGN.md §14).
 //
 // The payload of each frame is the single-record binary encoding of one
-// TraceEvent (trace_io's append_event_binary), so a spool is a durable,
-// per-record-checksummed form of the same stream save_binary writes.
+// TraceEvent (trace_io's append_event_binary).  The spool is the repo's
+// only trace file format: durable runs, resume, salvage, the streaming
+// analysis, the bench trace cache and trace_inspector all use it.
 #pragma once
 
 #include <cstdint>

@@ -64,7 +64,7 @@ struct MessageEvent {
   std::uint32_t shared_files = 0;  // PONG: advertised library size
   /// Hash of the descriptor GUID — lets the analysis correlate QUERYs
   /// with the QUERYHITs they attracted (the paper's future-work hit-rate
-  /// characterization).  0 when unknown (format v1 traces).
+  /// characterization).  0 when unknown.
   std::uint64_t guid_hash = 0;
 };
 

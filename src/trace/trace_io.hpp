@@ -1,16 +1,16 @@
-// p2pgen — trace serialization.
+// p2pgen — trace record codec.
 //
-// Two formats:
-//   * a compact binary format ("P2PT" magic, version 1) with exact
-//     round-trip semantics — used to persist simulated traces and by the
-//     streaming BinaryTraceWriter sink for paper-scale runs that should
-//     not be held in memory;
-//   * CSV export for ad-hoc inspection (examples/trace_inspector).
+// The one binary encoding of a TraceEvent, with exact round-trip
+// semantics.  The only trace file is the durable spool (trace/spool.hpp),
+// which frames and checksums each record individually; the byte-identity
+// digest hashes a "P2PT" stream header (magic + version) followed by the
+// same records.  CSV export serves ad-hoc inspection
+// (examples/trace_inspector).
 #pragma once
 
 #include <iosfwd>
 #include <limits>
-#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -19,37 +19,26 @@
 namespace p2pgen::trace {
 
 /// Thrown on truncated or corrupt trace input.  Carries the byte offset
-/// at which the malformation was detected, so a damaged multi-gigabyte
-/// trace file can be diagnosed (and salvaged up to the offset) instead of
-/// failing with a context-free error or silently reading a partial trace.
+/// at which the malformation was detected, so a damaged record can be
+/// diagnosed instead of failing with a context-free error.
 class TraceIoError : public std::runtime_error {
  public:
   TraceIoError(const std::string& what, std::uint64_t byte_offset)
       : std::runtime_error(what), byte_offset_(byte_offset) {}
 
-  /// Offset (bytes from the start of the stream) of the failure.
+  /// Offset (bytes from the start of the record or segment) of the failure.
   std::uint64_t byte_offset() const noexcept { return byte_offset_; }
 
  private:
   std::uint64_t byte_offset_;
 };
 
-/// Serializes a whole trace to a binary stream.  Throws std::runtime_error
-/// on stream failure.
-void write_binary(const Trace& trace, std::ostream& out);
-
-/// Reads a whole binary trace.  Throws TraceIoError (with the byte
-/// offset) on truncated or malformed input, std::runtime_error on other
-/// stream failure.  A stream that ends exactly on a record boundary is a
-/// clean EOF.
-Trace read_binary(std::istream& in);
-
-/// One quarantined byte range of a damaged stream.  Every recovery path
-/// in the repo — the spool salvage reader, the lenient trace reader and
-/// the checkpoint layer — accounts loss in this one shape, so byte
+/// One quarantined byte range of a damaged spool segment.  Every recovery
+/// path in the repo — the spool salvage reader, the streaming analysis
+/// and the checkpoint layer — accounts loss in this one shape, so byte
 /// offsets mean the same thing everywhere.
 struct SalvageRange {
-  std::string file;    ///< segment/file basename ("" for plain streams)
+  std::string file;    ///< segment file basename
   unsigned shard = 0;  ///< filled in by multi-shard consumers
   std::uint64_t byte_begin = 0;   ///< offset of the first damaged byte
   std::uint64_t byte_end = 0;     ///< resync point (one past the damage)
@@ -89,73 +78,32 @@ struct SalvageReport {
   void merge_shard(SalvageReport&& other, unsigned shard);
 };
 
-/// Reads as much of a binary trace as is intact: the valid record prefix
-/// is returned and the torn/corrupt tail is described in `report` (one
-/// trailing SalvageRange) instead of thrown.  A damaged *header* is still
-/// a hard TraceIoError — a stream that does not even start as a trace has
-/// no salvageable prefix.  For a fully valid stream the result is
-/// identical to read_binary() and report->damaged() is false.
-Trace read_trace_lenient(std::istream& in, SalvageReport* report = nullptr);
-
-/// File-path convenience for read_trace_lenient.
-Trace load_trace_lenient(const std::string& path,
-                         SalvageReport* report = nullptr);
-
-/// Appends the binary encoding of one event — exactly the record the
-/// stream format uses, without the file header — to `out`.  The one
-/// record encoder: write_binary, binary_digest, BinaryTraceWriter, the
-/// durable spool (trace/spool.hpp, which frames and checksums each record
-/// individually), the checkpoint replay check and the streaming digest
-/// all encode through it.
+/// Appends the binary encoding of one event to `out`.  The one record
+/// encoder: binary_digest, the durable spool (trace/spool.hpp, which
+/// frames and checksums each record individually), the checkpoint replay
+/// check and the streaming digest all encode through it.
 void append_event_binary(const TraceEvent& event, std::string& out);
 
-/// Appends the binary stream header ("P2PT" magic + version) to `out` —
-/// exactly the bytes write_binary() emits before the first record.  Lets
-/// the streaming analysis fold header-then-records into the same FNV-1a
-/// digest binary_digest() computes, without materializing a Trace.
+/// Appends the stream header ("P2PT" magic + version) to `out` — the
+/// bytes binary_digest() hashes before the first record.  Lets the
+/// streaming analysis fold header-then-records into the same FNV-1a
+/// digest, without materializing a Trace.
 void append_header_binary(std::string& out);
 
 /// Decodes one record produced by append_event_binary.  Throws
-/// TraceIoError on malformed input or if the buffer holds trailing bytes
-/// beyond the one record.
+/// TraceIoError (with the offset within the record) on malformed or
+/// truncated input, or if the buffer holds trailing bytes beyond the one
+/// record.
 TraceEvent decode_event_binary(const std::uint8_t* data, std::size_t size);
-
-/// File-path conveniences.
-void save_binary(const Trace& trace, const std::string& path);
-Trace load_binary(const std::string& path);
 
 /// CSV export (one row per event, header included).
 void write_csv(const Trace& trace, std::ostream& out);
 
-/// FNV-1a hash of the trace's binary serialization, computed streamingly
-/// (the serialized bytes are never materialized).  Two traces have equal
-/// digests iff write_binary() would produce identical byte streams — the
+/// FNV-1a hash of the stream header followed by every record, computed
+/// streamingly (the encoded bytes are never materialized).  Two traces
+/// have equal digests iff their record encodings are identical — the
 /// cheap byte-identity check used by the determinism tests and the
 /// parallel-scaling bench.
 std::uint64_t binary_digest(const Trace& trace);
-
-/// A TraceSink that streams events straight to a binary file.
-class BinaryTraceWriter : public TraceSink {
- public:
-  /// Opens `path` for writing and emits the header.  Throws on failure.
-  explicit BinaryTraceWriter(const std::string& path);
-  ~BinaryTraceWriter() override;
-
-  BinaryTraceWriter(const BinaryTraceWriter&) = delete;
-  BinaryTraceWriter& operator=(const BinaryTraceWriter&) = delete;
-
-  void on_event(const TraceEvent& event) override;
-
-  /// Flushes and closes; further on_event calls throw.  Called by the
-  /// destructor if not called explicitly.
-  void close();
-
-  std::uint64_t events_written() const noexcept { return events_written_; }
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-  std::uint64_t events_written_ = 0;
-};
 
 }  // namespace p2pgen::trace

@@ -29,6 +29,7 @@
 #include "stats/rng.hpp"
 #include "trace/spool_reader.hpp"
 #include "trace/trace_io.hpp"
+#include "trace_bytes.hpp"
 #include "util/durable_file.hpp"
 
 #if defined(__unix__)
@@ -64,12 +65,6 @@ std::string fresh_dir(const std::string& name) {
   return dir;
 }
 
-std::string serialize(const trace::Trace& trace) {
-  std::ostringstream os;
-  trace::write_binary(trace, os);
-  return os.str();
-}
-
 TEST(Checkpoint, DurableRunMatchesPlainRunAtAnyThreadCount) {
   const auto model = core::WorkloadModel::paper_default();
   const auto config = tiny_fault_config();
@@ -85,7 +80,7 @@ TEST(Checkpoint, DurableRunMatchesPlainRunAtAnyThreadCount) {
     const oracle::DurableRun durable =
         oracle::run_durable(model, config, 3, threads, durability);
     const behavior::RecoverySummary& summary = durable.summary;
-    EXPECT_EQ(serialize(durable.trace), serialize(plain))
+    EXPECT_EQ(trace_bytes(durable.trace), trace_bytes(plain))
         << threads << " threads";
     // A fresh run recovers nothing and replays nothing.
     EXPECT_EQ(summary.records_recovered, 0u);
@@ -114,7 +109,7 @@ TEST(Checkpoint, ResumeFromCompletedCheckpointLoadsWithoutResimulating) {
   const oracle::DurableRun second =
       oracle::run_durable(model, config, 2, 2, durability);
   const behavior::RecoverySummary& summary = second.summary;
-  EXPECT_EQ(serialize(second.trace), serialize(first.trace));
+  EXPECT_EQ(trace_bytes(second.trace), trace_bytes(first.trace));
   EXPECT_EQ(summary.shards_completed_prior, 2u);
   EXPECT_EQ(summary.checkpoints_loaded, 2u);
   EXPECT_EQ(summary.events_replayed, 0u);
@@ -281,7 +276,7 @@ TEST(Checkpoint, SigkillAtRandomizedPointsThenResumeIsByteIdentical) {
   const auto config = tiny_fault_config();
   const trace::Trace plain =
       behavior::simulate_trace_sharded(model, config, 2, 2);
-  const std::string expected = serialize(plain);
+  const std::string expected = trace_bytes(plain);
 
   const std::string dir = fresh_dir("sigkill");
   behavior::DurabilityConfig durability;
@@ -347,7 +342,7 @@ TEST(Checkpoint, SigkillAtRandomizedPointsThenResumeIsByteIdentical) {
   const bool unfinished = checkpoint_unfinished(dir);
   const oracle::DurableRun resumed =
       oracle::run_durable(model, config, 2, 2, durability);
-  EXPECT_EQ(serialize(resumed.trace), expected);
+  EXPECT_EQ(trace_bytes(resumed.trace), expected);
   // The rounds leave durable state behind (a synced spool prefix, or a
   // shard already marked done), and the resume must have found it;
   // records_truncated stays within one torn frame per shard per scan by
@@ -362,7 +357,7 @@ TEST(Checkpoint, SigkillAtRandomizedPointsThenResumeIsByteIdentical) {
   // And a second resume sees both shards complete.
   const oracle::DurableRun reloaded =
       oracle::run_durable(model, config, 2, 2, durability);
-  EXPECT_EQ(serialize(reloaded.trace), expected);
+  EXPECT_EQ(trace_bytes(reloaded.trace), expected);
   EXPECT_EQ(reloaded.summary.shards_completed_prior, 2u);
   fs::remove_all(dir);
 }
@@ -394,7 +389,7 @@ TEST(Replenish, SelfHealingIsDeterministicAndCounted) {
     trace::Trace trace;
     behavior::TraceSimulation simulation(model, config, trace);
     simulation.run();
-    bytes.push_back(serialize(trace));
+    bytes.push_back(trace_bytes(trace));
     spawns = simulation.node().replenish_spawns();
     scheduled = simulation.node().replenish_scheduled();
     requests = 0;
@@ -429,7 +424,7 @@ TEST(Replenish, DisabledReplenishIsByteIdenticalToPreRecoveryBehavior) {
     behavior::TraceSimulation simulation(model, off_with_hook, b);
     simulation.run();
   }
-  EXPECT_EQ(serialize(a), serialize(b));
+  EXPECT_EQ(trace_bytes(a), trace_bytes(b));
   ASSERT_GT(a.size(), 0u);
 }
 
@@ -443,13 +438,13 @@ TEST(Replenish, DurableRunWithReplenishStillResumesByteIdentical) {
   behavior::DurabilityConfig durability;
   durability.dir = dir;
   EXPECT_EQ(
-      serialize(oracle::run_durable(model, config, 2, 2, durability).trace),
-      serialize(plain));
+      trace_bytes(oracle::run_durable(model, config, 2, 2, durability).trace),
+      trace_bytes(plain));
 
   durability.resume = true;
   EXPECT_EQ(
-      serialize(oracle::run_durable(model, config, 2, 2, durability).trace),
-      serialize(plain));
+      trace_bytes(oracle::run_durable(model, config, 2, 2, durability).trace),
+      trace_bytes(plain));
   fs::remove_all(dir);
 }
 
@@ -532,7 +527,7 @@ TEST(CheckpointSalvage, DamagedSidecarsAreRebuiltDeterministically) {
   const std::vector<obs::QueryHopEvent>& qtrace_second = second.streams.qtrace;
   const std::vector<obs::TimelinePoint>& timeline_second =
       second.streams.timeline;
-  EXPECT_EQ(serialize(second.trace), serialize(first.trace));
+  EXPECT_EQ(trace_bytes(second.trace), trace_bytes(first.trace));
   // One shard, both its sidecars.
   EXPECT_EQ(second.summary.sidecars_rebuilt, 1u);
   // The rebuild is a real replay.
@@ -592,7 +587,7 @@ TEST(CheckpointSalvage, CleanCheckpointSalvageResumeIsBitIdenticalToStrict) {
   const std::string dir = fresh_dir("salvage_clean");
   behavior::DurabilityConfig durability;
   durability.dir = dir;
-  const std::string first = serialize(
+  const std::string first = trace_bytes(
       oracle::run_durable(model, config, 3, 2, durability).trace);
 
   durability.resume = true;
@@ -604,8 +599,8 @@ TEST(CheckpointSalvage, CleanCheckpointSalvageResumeIsBitIdenticalToStrict) {
     salvage.salvage = true;
     const oracle::DurableRun b =
         oracle::run_durable(model, config, 3, threads, salvage);
-    EXPECT_EQ(serialize(a.trace), first) << threads << " threads";
-    EXPECT_EQ(serialize(b.trace), first) << threads << " threads";
+    EXPECT_EQ(trace_bytes(a.trace), first) << threads << " threads";
+    EXPECT_EQ(trace_bytes(b.trace), first) << threads << " threads";
     EXPECT_FALSE(b.salvage.damaged());
     EXPECT_EQ(b.salvage.frames_lost, 0u);
     EXPECT_EQ(b.summary.spools_reset, 0u);
@@ -653,7 +648,7 @@ TEST(CheckpointSalvage, DamagedDoneSpoolLosesOnlyTheDamagedFrame) {
   // The same damage salvages identically on a second resume.
   const oracle::DurableRun repeat =
       oracle::run_durable(model, config, 2, 2, durability);
-  EXPECT_EQ(serialize(repeat.trace), serialize(salvaged.trace));
+  EXPECT_EQ(trace_bytes(repeat.trace), trace_bytes(salvaged.trace));
   EXPECT_EQ(repeat.salvage.frames_lost, 1u);
   fs::remove_all(dir);
 }
@@ -739,7 +734,7 @@ TEST(CheckpointSalvage, DamagedUnfinishedSpoolIsTruncatedAndResimulated) {
   durability.salvage = true;
   const oracle::DurableRun resumed =
       oracle::run_durable(model, config, 2, 2, durability);
-  EXPECT_EQ(serialize(resumed.trace), serialize(first));
+  EXPECT_EQ(trace_bytes(resumed.trace), trace_bytes(first));
   EXPECT_EQ(resumed.summary.spools_reset, 1u);
   EXPECT_GT(resumed.summary.bytes_truncated, 0u);
   EXPECT_GT(resumed.summary.events_replayed, 0u);
@@ -782,8 +777,8 @@ TEST(CheckpointSalvage, WriteErrorCheckpointsAndStopsCleanly) {
     fs::permissions(shard1, fs::perms::owner_all, fs::perm_options::replace);
     durability.resume = true;
     EXPECT_EQ(
-        serialize(oracle::run_durable(model, config, 2, 2, durability).trace),
-        serialize(plain));
+        trace_bytes(oracle::run_durable(model, config, 2, 2, durability).trace),
+        trace_bytes(plain));
     status = behavior::read_checkpoint_status(dir);
     EXPECT_TRUE(status.complete);
     EXPECT_TRUE(status.stop_reason.empty());
@@ -825,8 +820,8 @@ TEST(CheckpointSalvage, SidecarWriteErrorCheckpointsAndStopsCleanly) {
   fs::remove_all(blocker);
   durability.resume = true;
   EXPECT_EQ(
-      serialize(oracle::run_durable(model, config, 2, 2, durability).trace),
-      serialize(plain));
+      trace_bytes(oracle::run_durable(model, config, 2, 2, durability).trace),
+      trace_bytes(plain));
   status = behavior::read_checkpoint_status(dir);
   EXPECT_TRUE(status.complete);
   EXPECT_TRUE(status.stop_reason.empty());

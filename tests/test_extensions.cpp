@@ -3,7 +3,7 @@
 // (query forwarding + responders + GUID correlation).
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <string>
 
 #include "analysis/correlations.hpp"
 #include "analysis/filters.hpp"
@@ -143,14 +143,13 @@ TEST(HitRate, NoForwardingMeansNoHits) {
 }
 
 TEST(TraceV2, GuidHashSurvivesBinaryRoundTrip) {
-  trace::Trace t;
-  t.append(trace::SessionStart{0.0, 1, kNaIp, false, "X"});
-  t.append(trace::MessageEvent{1.0, 1, gnutella::MessageType::kQuery, 6, 1,
-                               "q", false, 0, 0, 0xDEADBEEF12345678ULL});
-  std::stringstream buffer;
-  trace::write_binary(t, buffer);
-  const auto loaded = trace::read_binary(buffer);
-  const auto& msg = std::get<trace::MessageEvent>(loaded.events()[1]);
+  std::string bytes;
+  trace::append_event_binary(
+      trace::MessageEvent{1.0, 1, gnutella::MessageType::kQuery, 6, 1, "q",
+                          false, 0, 0, 0xDEADBEEF12345678ULL},
+      bytes);
+  const auto msg = std::get<trace::MessageEvent>(trace::decode_event_binary(
+      reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()));
   EXPECT_EQ(msg.guid_hash, 0xDEADBEEF12345678ULL);
 }
 

@@ -13,7 +13,7 @@
 #include "behavior/trace_simulation.hpp"
 #include "sim/fault.hpp"
 #include "sim/network.hpp"
-#include "trace/trace_io.hpp"
+#include "trace_bytes.hpp"
 
 namespace p2pgen {
 namespace {
@@ -256,12 +256,6 @@ behavior::TraceSimulationConfig faulty_config(double days,
   return config;
 }
 
-std::string serialized(const trace::Trace& trace) {
-  std::stringstream buffer;
-  trace::write_binary(trace, buffer);
-  return buffer.str();
-}
-
 TEST(TraceSimulationFaults, AllZeroProbabilitiesAreByteIdentical) {
   // Acceptance criterion: TraceSimulation always installs the fault
   // layer, so a config with every probability at zero must reproduce the
@@ -271,7 +265,7 @@ TEST(TraceSimulationFaults, AllZeroProbabilitiesAreByteIdentical) {
     behavior::TraceSimulation sim(core::WorkloadModel::paper_default(),
                                   faulty_config(0.02, faults), trace);
     sim.run();
-    return serialized(trace);
+    return trace_bytes(trace);
   };
   sim::FaultConfig zero;
   zero.half_open_after_mean = 7.0;  // irrelevant while half_open_prob == 0
@@ -331,7 +325,7 @@ TEST(TraceSimulationFaults, HostileOverlayExercisesEveryHardeningPath) {
   behavior::TraceSimulation sim2(core::WorkloadModel::paper_default(), config,
                                  again);
   sim2.run();
-  EXPECT_EQ(serialized(trace), serialized(again));
+  EXPECT_EQ(trace_bytes(trace), trace_bytes(again));
 }
 
 TEST(TraceSimulationFaults, ReportPrinterCoversEveryRow) {

@@ -1,9 +1,12 @@
 // Tests for the GeoIP substitute and the trace substrate (records, stats,
-// binary/CSV serialization).
+// record codec, CSV export).
 #include <gtest/gtest.h>
 
-#include <fstream>
+#include <cstring>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "geo/geoip.hpp"
 #include "trace/trace.hpp"
@@ -118,124 +121,174 @@ TEST(Trace, StatsCountTable1Rows) {
   EXPECT_DOUBLE_EQ(stats.last_time, 80.0);
 }
 
-TEST(TraceIo, BinaryRoundTripPreservesEverything) {
-  const auto original = sample_trace();
-  std::stringstream buffer;
-  trace::write_binary(original, buffer);
-  const auto loaded = trace::read_binary(buffer);
-  ASSERT_EQ(loaded.size(), original.size());
-  for (std::size_t i = 0; i < original.size(); ++i) {
-    EXPECT_EQ(trace::event_time(loaded.events()[i]),
-              trace::event_time(original.events()[i]));
+// Record codec: every trace record — in a spool frame, the digest and
+// the streaming pass — is decoded by trace::decode_event_binary.
+
+std::string encode(const trace::TraceEvent& event) {
+  std::string bytes;
+  trace::append_event_binary(event, bytes);
+  return bytes;
+}
+
+trace::TraceEvent decode(const std::string& bytes) {
+  return trace::decode_event_binary(
+      reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size());
+}
+
+/// One record of each kind, every field set to a non-default value.
+trace::MessageEvent full_message() {
+  return trace::MessageEvent{15.25, 7, gnutella::MessageType::kQuery,
+                             4,     2, "full fields",
+                             true,  0xC1000003, 42,
+                             0xDEADBEEF12345678ULL};
+}
+
+/// sample_trace() plus full_message(): the codec's test inputs.
+std::vector<trace::TraceEvent> codec_inputs() {
+  std::vector<trace::TraceEvent> events = sample_trace().events();
+  events.emplace_back(full_message());
+  return events;
+}
+
+/// Expects `what()` to contain `needle`.
+void expect_message(const trace::TraceIoError& e, const std::string& needle) {
+  EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+      << "'" << e.what() << "' lacks '" << needle << "'";
+}
+
+TEST(TraceIo, RecordRoundTripPreservesEveryField) {
+  for (const trace::TraceEvent& event : codec_inputs()) {
+    const std::string bytes = encode(event);
+    EXPECT_EQ(encode(decode(bytes)), bytes);
   }
-  // Spot-check full field preservation on one of each kind.
-  const auto& start = std::get<trace::SessionStart>(loaded.events()[0]);
-  EXPECT_EQ(start.user_agent, "LimeWire/3.8.10");
-  EXPECT_TRUE(start.ultrapeer);
+  const auto start = std::get<trace::SessionStart>(
+      decode(encode(sample_trace().events()[0])));
+  EXPECT_EQ(start.time, 10.0);
+  EXPECT_EQ(start.session_id, 1u);
   EXPECT_EQ(start.ip, 0x18000001u);
-  const auto& msg = std::get<trace::MessageEvent>(loaded.events()[1]);
-  EXPECT_EQ(msg.query, "free music");
-  EXPECT_EQ(msg.hops, 1);
-  const auto& end = std::get<trace::SessionEnd>(loaded.events()[6]);
+  EXPECT_TRUE(start.ultrapeer);
+  EXPECT_EQ(start.user_agent, "LimeWire/3.8.10");
+
+  const auto msg = std::get<trace::MessageEvent>(decode(encode(full_message())));
+  EXPECT_EQ(msg.time, 15.25);
+  EXPECT_EQ(msg.session_id, 7u);
+  EXPECT_EQ(msg.type, gnutella::MessageType::kQuery);
+  EXPECT_EQ(msg.ttl, 4);
+  EXPECT_EQ(msg.hops, 2);
+  EXPECT_EQ(msg.query, "full fields");
+  EXPECT_TRUE(msg.sha1);
+  EXPECT_EQ(msg.source_ip, 0xC1000003u);
+  EXPECT_EQ(msg.shared_files, 42u);
+  EXPECT_EQ(msg.guid_hash, 0xDEADBEEF12345678ULL);
+
+  const auto end = std::get<trace::SessionEnd>(
+      decode(encode(sample_trace().events()[6])));
+  EXPECT_EQ(end.time, 80.0);
+  EXPECT_EQ(end.session_id, 1u);
   EXPECT_EQ(end.reason, trace::EndReason::kIdleProbe);
 }
 
-TEST(TraceIo, RejectsCorruptHeader) {
-  std::stringstream buffer;
-  buffer << "NOPE";
-  EXPECT_THROW(trace::read_binary(buffer), std::runtime_error);
-}
-
-TEST(TraceIo, RejectsTruncatedBody) {
-  const auto original = sample_trace();
-  std::stringstream buffer;
-  trace::write_binary(original, buffer);
-  std::string data = buffer.str();
-  data.resize(data.size() - 3);
-  std::stringstream cut(data);
-  EXPECT_THROW(trace::read_binary(cut), std::runtime_error);
-}
-
-TEST(TraceIo, TruncationAtEveryByteFailsCleanlyOrShortens) {
-  // Round-trip with truncation: cutting the stream at EVERY byte position
-  // must either parse as a valid shorter trace (cut exactly at a record
-  // boundary) or throw a TraceIoError whose offset points inside the file
-  // — never crash, never return garbage.
-  const auto original = sample_trace();
-  std::stringstream buffer;
-  trace::write_binary(original, buffer);
-  const std::string data = buffer.str();
-  std::size_t clean_cuts = 0;
-  std::size_t failed_cuts = 0;
-  for (std::size_t cut = 0; cut < data.size(); ++cut) {
-    std::stringstream in(data.substr(0, cut));
-    try {
-      const auto loaded = trace::read_binary(in);
-      ++clean_cuts;
-      EXPECT_LT(loaded.size(), original.size()) << "cut at " << cut;
-    } catch (const trace::TraceIoError& e) {
-      ++failed_cuts;
-      EXPECT_LE(e.byte_offset(), cut) << "cut at " << cut;
-      EXPECT_NE(std::string(e.what()).find("byte offset"), std::string::npos);
+TEST(TraceIo, CutAtEveryByteThrowsWithTheCutOffset) {
+  // Cutting a record at EVERY byte position must throw a TraceIoError at
+  // the cut — never crash, never return a record — and say how many
+  // bytes the field it was reading still needed.
+  for (const trace::TraceEvent& event : codec_inputs()) {
+    const std::string bytes = encode(event);
+    for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+      try {
+        (void)decode(bytes.substr(0, cut));
+        ADD_FAILURE() << "record cut at " << cut << " of " << bytes.size()
+                      << " bytes was accepted";
+      } catch (const trace::TraceIoError& e) {
+        EXPECT_EQ(e.byte_offset(), cut);
+        expect_message(e, "truncated record");
+        expect_message(e, "byte offset " + std::to_string(cut));
+        const std::string what = e.what();
+        const std::size_t at = what.find("needed ");
+        ASSERT_NE(at, std::string::npos) << what;
+        const std::size_t needed = std::stoul(what.substr(at + 7));
+        EXPECT_GE(needed, 1u) << what;
+        EXPECT_LE(cut + needed, bytes.size()) << what;
+      }
     }
   }
-  // Both outcomes occur: record boundaries read as shorter traces, cuts
-  // inside a record are diagnosed.
-  EXPECT_EQ(clean_cuts, original.size());  // one boundary per record
-  EXPECT_GT(failed_cuts, 0u);
+  // A SessionEnd is [kind][time][session id][reason]: cut one byte into
+  // the reason and exactly that byte is missing.
+  const std::string end = encode(sample_trace().events()[6]);
+  try {
+    (void)decode(end.substr(0, end.size() - 1));
+    FAIL() << "a SessionEnd without its reason byte was accepted";
+  } catch (const trace::TraceIoError& e) {
+    expect_message(e, "needed 1 more byte(s)");
+  }
+  // Cut 3 bytes into the 8-byte session id: 5 bytes are missing.
+  try {
+    (void)decode(end.substr(0, 1 + 8 + 3));
+    FAIL() << "a SessionEnd without its session id was accepted";
+  } catch (const trace::TraceIoError& e) {
+    expect_message(e, "needed 5 more byte(s)");
+  }
 }
 
-TEST(TraceIo, UnknownRecordKindNamesTheOffset) {
-  const auto original = sample_trace();
-  std::stringstream buffer;
-  trace::write_binary(original, buffer);
-  std::string data = buffer.str();
-  data[8] = '\x7f';  // first record-kind byte (after 8-byte header)
-  std::stringstream in(data);
-  try {
-    trace::read_binary(in);
-    FAIL() << "corrupt record kind was accepted";
-  } catch (const trace::TraceIoError& e) {
-    EXPECT_EQ(e.byte_offset(), 8u);
-    EXPECT_NE(std::string(e.what()).find("unknown record kind"),
-              std::string::npos);
+TEST(TraceIo, UnknownRecordKindIsRefused) {
+  for (const char kind : {'\x00', '\x04', '\x7f'}) {
+    std::string bytes = encode(sample_trace().events()[6]);
+    bytes[0] = kind;
+    try {
+      (void)decode(bytes);
+      FAIL() << "record kind " << static_cast<int>(kind) << " was accepted";
+    } catch (const trace::TraceIoError& e) {
+      EXPECT_EQ(e.byte_offset(), 0u);
+      expect_message(e, "unknown record kind");
+    }
   }
 }
 
 TEST(TraceIo, UnknownEndReasonNamesTheOffset) {
-  const auto original = sample_trace();
-  std::stringstream buffer;
-  trace::write_binary(original, buffer);
-  std::string data = buffer.str();
-  data.back() = '\x7f';  // the final SessionEnd's reason byte
-  std::stringstream in(data);
+  std::string bytes = encode(sample_trace().events()[6]);
+  bytes.back() = '\x7f';  // the reason byte
   try {
-    trace::read_binary(in);
+    (void)decode(bytes);
     FAIL() << "an unknown end reason was accepted";
   } catch (const trace::TraceIoError& e) {
-    EXPECT_EQ(e.byte_offset(), data.size() - 1);
-    EXPECT_NE(std::string(e.what()).find("unknown end reason"),
-              std::string::npos);
+    EXPECT_EQ(e.byte_offset(), bytes.size() - 1);
+    expect_message(e, "unknown end reason");
+    expect_message(e, "byte offset " + std::to_string(bytes.size() - 1));
   }
 }
 
-TEST(TraceIo, LoadBinaryPrefixesPathOnError) {
-  const std::string path = ::testing::TempDir() + "/p2pgen_trace_cut.bin";
-  const auto original = sample_trace();
-  std::stringstream buffer;
-  trace::write_binary(original, buffer);
-  std::string data = buffer.str();
-  data.resize(data.size() - 3);  // mid-record truncation
-  {
-    std::ofstream out(path, std::ios::binary);
-    out.write(data.data(), static_cast<std::streamsize>(data.size()));
+TEST(TraceIo, OversizedStringIsRefused) {
+  // The u32 length prefix of SessionStart::user_agent sits after
+  // [kind][time][session id][ip][ultrapeer]; MessageEvent::query's after
+  // [kind][time][session id][type][ttl][hops][guid hash].
+  const std::uint32_t oversized = (1u << 20) + 1;
+  const std::pair<trace::TraceEvent, std::size_t> cases[] = {
+      {sample_trace().events()[0], 1 + 8 + 8 + 4 + 1},
+      {full_message(), 1 + 8 + 8 + 1 + 1 + 1 + 8},
+  };
+  for (const auto& [event, length_at] : cases) {
+    std::string bytes = encode(event);
+    std::memcpy(bytes.data() + length_at, &oversized, sizeof(oversized));
+    try {
+      (void)decode(bytes);
+      FAIL() << "an oversized string was accepted";
+    } catch (const trace::TraceIoError& e) {
+      EXPECT_EQ(e.byte_offset(), length_at);
+      expect_message(e, "oversized string");
+    }
   }
-  try {
-    trace::load_binary(path);
-    FAIL() << "truncated file was accepted";
-  } catch (const trace::TraceIoError& e) {
-    EXPECT_NE(std::string(e.what()).find(path), std::string::npos);
-    EXPECT_GT(e.byte_offset(), 0u);
+}
+
+TEST(TraceIo, TrailingBytesAreRefused) {
+  for (const trace::TraceEvent& event : codec_inputs()) {
+    const std::string bytes = encode(event);
+    try {
+      (void)decode(bytes + "xy");
+      FAIL() << "a record with trailing bytes was accepted";
+    } catch (const trace::TraceIoError& e) {
+      EXPECT_EQ(e.byte_offset(), bytes.size());
+      expect_message(e, "2 trailing byte(s)");
+    }
   }
 }
 
@@ -247,21 +300,6 @@ TEST(TraceIo, CsvHasHeaderAndOneRowPerEvent) {
   std::size_t rows = 0;
   while (std::getline(out, line)) ++rows;
   EXPECT_EQ(rows, t.size() + 1);
-}
-
-TEST(TraceIo, FileRoundTripViaWriterSink) {
-  const std::string path = ::testing::TempDir() + "/p2pgen_trace_test.bin";
-  const auto original = sample_trace();
-  {
-    trace::BinaryTraceWriter writer(path);
-    for (const auto& event : original.events()) writer.on_event(event);
-    writer.close();
-    EXPECT_EQ(writer.events_written(), original.size());
-    EXPECT_THROW(writer.on_event(original.events()[0]), std::logic_error);
-  }
-  const auto loaded = trace::load_binary(path);
-  EXPECT_EQ(loaded.size(), original.size());
-  EXPECT_EQ(loaded.stats().direct_connections, 2u);
 }
 
 }  // namespace

@@ -23,7 +23,7 @@
 #include "behavior/sharded_simulation.hpp"
 #include "durable_oracle.hpp"
 #include "obs/span.hpp"
-#include "trace/trace_io.hpp"
+#include "trace_bytes.hpp"
 
 namespace p2pgen {
 namespace {
@@ -308,12 +308,6 @@ behavior::TraceSimulationConfig tiny_fault_config() {
   return config;
 }
 
-std::string serialize(const trace::Trace& trace) {
-  std::ostringstream os;
-  trace::write_binary(trace, os);
-  return os.str();
-}
-
 /// All counters except the intentionally schedule-dependent "pool." ones.
 std::map<std::string, std::uint64_t> deterministic_counters(
     const obs::MetricsSnapshot& snapshot) {
@@ -337,7 +331,7 @@ TEST(ObsContract, InstrumentedShardedRunsAreByteIdenticalAcrossThreads) {
     registry.reset();
     const trace::Trace trace =
         behavior::simulate_trace_sharded(model, config, 3, threads);
-    bytes.push_back(serialize(trace));
+    bytes.push_back(trace_bytes(trace));
     counters.push_back(deterministic_counters(registry.snapshot()));
   }
   ASSERT_FALSE(bytes[0].empty());
@@ -469,7 +463,7 @@ TEST(ObsContract, RecoveryCountersPinTheDurabilityLayer) {
   durability.resume = true;
   const oracle::DurableRun second =
       oracle::run_durable(model, config, 2, 2, durability);
-  EXPECT_EQ(serialize(second.trace), serialize(first.trace));
+  EXPECT_EQ(trace_bytes(second.trace), trace_bytes(first.trace));
   snapshot = registry.snapshot();
   EXPECT_EQ(snapshot.counter_value("recovery.spool.records_recovered"), 0u);
   EXPECT_EQ(snapshot.counter_value("recovery.checkpoints_loaded"), 2u);
@@ -495,7 +489,7 @@ TEST(ObsContract, RecoveryCountersPinTheDurabilityLayer) {
   registry.reset();
   const oracle::DurableRun third =
       oracle::run_durable(model, config, 2, 2, durability);
-  EXPECT_EQ(serialize(third.trace), serialize(first.trace));
+  EXPECT_EQ(trace_bytes(third.trace), trace_bytes(first.trace));
   snapshot = registry.snapshot();
   EXPECT_EQ(snapshot.counter_value("recovery.spool.records_recovered"),
             first.stats[1].events);
@@ -516,11 +510,11 @@ TEST(ObsContract, DisablingTheGlobalRegistryDoesNotChangeResults) {
   registry.set_enabled(true);
   registry.reset();
   const std::string with_metrics =
-      serialize(behavior::simulate_trace_sharded(model, config, 2, 2));
+      trace_bytes(behavior::simulate_trace_sharded(model, config, 2, 2));
 
   registry.set_enabled(false);
   const std::string without_metrics =
-      serialize(behavior::simulate_trace_sharded(model, config, 2, 2));
+      trace_bytes(behavior::simulate_trace_sharded(model, config, 2, 2));
   registry.set_enabled(true);
 
   EXPECT_EQ(with_metrics, without_metrics);

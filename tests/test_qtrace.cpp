@@ -25,7 +25,7 @@
 #include "obs/metrics.hpp"
 #include "obs/sidecars.hpp"
 #include "trace/spool.hpp"
-#include "trace/trace_io.hpp"
+#include "trace_bytes.hpp"
 
 namespace p2pgen {
 namespace {
@@ -316,12 +316,6 @@ behavior::TraceSimulationConfig qtrace_test_config() {
   return config;
 }
 
-std::string serialize(const trace::Trace& trace) {
-  std::ostringstream os;
-  trace::write_binary(trace, os);
-  return os.str();
-}
-
 /// Every qtrace.* counter plus a flat rendering of every qtrace.*
 /// histogram — the full derived-aggregate surface as one comparable map.
 std::map<std::string, std::string> qtrace_aggregates(
@@ -377,10 +371,10 @@ TEST(QtraceContract, TracingNeverPerturbsTheSimulatedTrace) {
 
   config.qtrace.sample_rate = 0.0;
   const std::string without =
-      serialize(behavior::simulate_trace_sharded(model, config, 2, 2));
+      trace_bytes(behavior::simulate_trace_sharded(model, config, 2, 2));
   config.qtrace.sample_rate = 1.0;
   const std::string with =
-      serialize(behavior::simulate_trace_sharded(model, config, 2, 2));
+      trace_bytes(behavior::simulate_trace_sharded(model, config, 2, 2));
   ASSERT_FALSE(without.empty());
   EXPECT_EQ(without, with);
 }

@@ -7,13 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <set>
-#include <sstream>
 #include <unordered_set>
 #include <variant>
 #include <vector>
 
 #include "stats/rng.hpp"
 #include "trace/trace_io.hpp"
+#include "trace_bytes.hpp"
 
 namespace p2pgen {
 namespace {
@@ -24,12 +24,6 @@ behavior::TraceSimulationConfig tiny_config() {
   config.arrival_rate = 1.0;
   config.seed = 20040315;
   return config;
-}
-
-std::string serialize(const trace::Trace& trace) {
-  std::ostringstream os;
-  trace::write_binary(trace, os);
-  return os.str();
 }
 
 TEST(ShardedSimulation, ShardSeedsAreDistinctFromEachOtherAndTheMaster) {
@@ -78,7 +72,7 @@ TEST(ShardedSimulation, MergedTraceIsByteIdenticalForAnyThreadCount) {
   ASSERT_GT(serial.size(), 0u);
   // Full byte equality for 1 vs 8 threads, digest equality everywhere
   // (binary_digest is what the scaling bench and CI check).
-  EXPECT_EQ(serialize(serial), serialize(eight));
+  EXPECT_EQ(trace_bytes(serial), trace_bytes(eight));
   EXPECT_EQ(trace::binary_digest(serial), trace::binary_digest(two));
   EXPECT_EQ(trace::binary_digest(serial), trace::binary_digest(eight));
 }

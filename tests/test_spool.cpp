@@ -31,6 +31,7 @@
 #include "stats/rng.hpp"
 #include "trace/spool_reader.hpp"
 #include "trace/trace_io.hpp"
+#include "trace_bytes.hpp"
 
 namespace p2pgen {
 namespace {
@@ -84,12 +85,6 @@ trace::Trace make_trace(std::size_t sessions, std::uint64_t seed) {
   return out;
 }
 
-std::string serialize(const trace::Trace& trace) {
-  std::ostringstream os;
-  trace::write_binary(trace, os);
-  return os.str();
-}
-
 void spool_trace(const trace::Trace& trace, const std::string& dir,
                  trace::SpoolConfig config = {}) {
   trace::SpoolWriter writer(dir, config);
@@ -127,7 +122,7 @@ TEST(Spool, RoundTripsAcrossSegmentRolls) {
   EXPECT_FALSE(report.torn);
   EXPECT_EQ(report.records_truncated, 0u);
   EXPECT_EQ(report.records_recovered, original.size());
-  EXPECT_EQ(serialize(loaded), serialize(original));
+  EXPECT_EQ(trace_bytes(loaded), trace_bytes(original));
 }
 
 TEST(Spool, SegmentBytesArePinned) {
@@ -170,7 +165,7 @@ TEST(Spool, WriterResumesAfterCleanClose) {
     writer.close();
   }
   const trace::Trace loaded = trace::read_spool(dir);
-  EXPECT_EQ(serialize(loaded), serialize(full));
+  EXPECT_EQ(trace_bytes(loaded), trace_bytes(full));
 }
 
 TEST(Spool, FuzzTornTailRecoversValidPrefixAtEveryTruncationPoint) {
@@ -203,7 +198,7 @@ TEST(Spool, FuzzTornTailRecoversValidPrefixAtEveryTruncationPoint) {
       trace::Trace a, b;
       a.append(recovered.events()[i]);
       b.append(original.events()[i]);
-      ASSERT_EQ(serialize(a), serialize(b)) << "event " << i << " cut " << cut;
+      ASSERT_EQ(trace_bytes(a), trace_bytes(b)) << "event " << i << " cut " << cut;
     }
     // A cut exactly on a frame boundary is a clean (if shorter) spool;
     // any other cut is a torn tail, and the torn frame is the only loss.
@@ -226,7 +221,7 @@ TEST(Spool, FuzzTornTailRecoversValidPrefixAtEveryTruncationPoint) {
       }
       writer.close();
     }
-    ASSERT_EQ(serialize(trace::read_spool(dir)), serialize(original));
+    ASSERT_EQ(trace_bytes(trace::read_spool(dir)), trace_bytes(original));
     // Restore the pristine segment for the next round.
     std::ofstream out(segment, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
@@ -269,7 +264,7 @@ TEST(Spool, FuzzCorruptedByteNeverCrashesAndKeepsAVerifiedPrefix) {
       trace::Trace a, b;
       a.append(recovered.events()[i]);
       b.append(original.events()[i]);
-      ASSERT_EQ(serialize(a), serialize(b)) << "event " << i << " byte " << at;
+      ASSERT_EQ(trace_bytes(a), trace_bytes(b)) << "event " << i << " byte " << at;
     }
   }
 }
@@ -307,7 +302,7 @@ TEST(Spool, HeaderTornFinalSegmentIsRebuiltFresh) {
   EXPECT_TRUE(writer.recovery().torn);
   for (const auto& event : original.events()) writer.append(event);
   writer.close();
-  EXPECT_EQ(serialize(trace::read_spool(dir)), serialize(original));
+  EXPECT_EQ(trace_bytes(trace::read_spool(dir)), trace_bytes(original));
 }
 
 TEST(Spool, SyncIntervalBoundsTheUnsyncedTail) {
@@ -323,81 +318,6 @@ TEST(Spool, SyncIntervalBoundsTheUnsyncedTail) {
   EXPECT_GE(scan.records + config.sync_interval_records, original.size());
   writer.close();
   EXPECT_EQ(trace::scan_spool(dir, false).records, original.size());
-}
-
-// Lenient trace reader (the recovery counterpart of read_binary) -------
-
-TEST(TraceLenient, FullFileMatchesStrictReader) {
-  const trace::Trace original = make_trace(16, 8);
-  const std::string bytes = serialize(original);
-  std::istringstream in(bytes);
-  trace::SalvageReport report;
-  const trace::Trace loaded = trace::read_trace_lenient(in, &report);
-  EXPECT_EQ(serialize(loaded), bytes);
-  EXPECT_FALSE(report.damaged());
-  EXPECT_EQ(report.records_recovered, original.size());
-  EXPECT_EQ(report.bytes_quarantined, 0u);
-}
-
-TEST(TraceLenient, FuzzTruncationKeepsValidPrefixWhereStrictThrows) {
-  const trace::Trace original = make_trace(16, 9);
-  const std::string bytes = serialize(original);
-  stats::Rng rng(55);
-  for (int round = 0; round < 64; ++round) {
-    // Cut somewhere after the header so the lenient path is exercised
-    // (header damage is not recoverable and still throws).
-    const std::size_t min_keep = 16;
-    const std::size_t cut =
-        min_keep + rng.next_u64() % (bytes.size() - min_keep);
-    const std::string torn = bytes.substr(0, cut);
-    // When the strict reader rejects the torn stream, the lenient one
-    // must recover its valid prefix; a cut exactly on a record boundary
-    // parses as a shorter-but-valid trace in both (the silent data loss
-    // the CRC-framed spool exists to rule out).
-    bool strict_threw = false;
-    {
-      std::istringstream strict_in(torn);
-      try {
-        (void)trace::read_binary(strict_in);
-      } catch (const trace::TraceIoError&) {
-        strict_threw = true;
-      }
-    }
-    std::istringstream in(torn);
-    trace::SalvageReport report;
-    const trace::Trace recovered = trace::read_trace_lenient(in, &report);
-    ASSERT_LE(recovered.size(), original.size());
-    EXPECT_EQ(report.records_recovered, recovered.size());
-    EXPECT_EQ(report.damaged(), strict_threw);
-    if (strict_threw) {
-      EXPECT_GT(report.bytes_quarantined, 0u);
-      ASSERT_EQ(report.ranges.size(), 1u);
-      EXPECT_FALSE(report.ranges[0].detail.empty());
-      EXPECT_GE(report.ranges[0].byte_end, report.ranges[0].byte_begin);
-    }
-    for (std::size_t i = 0; i < recovered.size(); ++i) {
-      trace::Trace a, b;
-      a.append(recovered.events()[i]);
-      b.append(original.events()[i]);
-      ASSERT_EQ(serialize(a), serialize(b)) << "event " << i << " cut " << cut;
-    }
-  }
-}
-
-TEST(TraceLenient, LoadFileVariantReportsTruncation) {
-  const trace::Trace original = make_trace(8, 10);
-  const std::string bytes = serialize(original);
-  const std::string path = ::testing::TempDir() + "/p2pgen_lenient_cut.bin";
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(),
-              static_cast<std::streamsize>(bytes.size() - 5));
-  }
-  trace::SalvageReport report;
-  const trace::Trace recovered = trace::load_trace_lenient(path, &report);
-  EXPECT_TRUE(report.damaged());
-  EXPECT_LT(recovered.size(), original.size());
-  EXPECT_EQ(report.records_recovered, recovered.size());
 }
 
 // Salvage-mode spool reads (DESIGN.md §14) --------------------------------
@@ -424,7 +344,7 @@ void write_file_bytes(const std::string& path, const std::vector<char>& bytes) {
 std::string serialize_event(const trace::TraceEvent& event) {
   trace::Trace one;
   one.append(event);
-  return serialize(one);
+  return trace_bytes(one);
 }
 
 /// (offset, total frame size incl. the 8-byte [len][crc] header) of every
@@ -497,8 +417,8 @@ TEST(SpoolSalvage, CleanSpoolIsBitIdenticalToStrict) {
   const trace::Trace strict = trace::read_spool(fx.dir);
   trace::SalvageReport report;
   const trace::Trace salvaged = trace::read_spool_salvage(fx.dir, &report);
-  EXPECT_EQ(serialize(salvaged), serialize(strict));
-  EXPECT_EQ(serialize(salvaged), serialize(fx.original));
+  EXPECT_EQ(trace_bytes(salvaged), trace_bytes(strict));
+  EXPECT_EQ(trace_bytes(salvaged), trace_bytes(fx.original));
   EXPECT_FALSE(report.damaged());
   EXPECT_TRUE(report.ranges.empty());
   EXPECT_EQ(report.records_recovered, fx.original.size());
@@ -607,8 +527,8 @@ TEST(SpoolSalvage, FuzzMultiRangeCorruptionNeverLosesAnUndamagedFrame) {
     write_file_bytes(fx.segment_paths[s], fx.pristine[s]);
   }
   trace::SalvageReport report;
-  EXPECT_EQ(serialize(trace::read_spool_salvage(fx.dir, &report)),
-            serialize(fx.original));
+  EXPECT_EQ(trace_bytes(trace::read_spool_salvage(fx.dir, &report)),
+            trace_bytes(fx.original));
   EXPECT_FALSE(report.damaged());
 }
 
@@ -648,7 +568,7 @@ TEST(SpoolSalvage, DamagedHeaderLosesNoRecords) {
   const trace::Trace recovered = trace::read_spool_salvage(fx.dir, &report);
   // Only header bytes were damaged; every record survives, the loss
   // accounting still quarantines the 8 unreadable bytes.
-  EXPECT_EQ(serialize(recovered), serialize(fx.original));
+  EXPECT_EQ(trace_bytes(recovered), trace_bytes(fx.original));
   EXPECT_EQ(report.records_recovered, fx.original.size());
   EXPECT_TRUE(report.damaged());
   ASSERT_EQ(report.ranges.size(), 1u);
@@ -690,7 +610,7 @@ TEST(SpoolSalvage, TruncateToValidPrefixEnablesStrictReplay) {
     }
     writer.close();
   }
-  EXPECT_EQ(serialize(trace::read_spool(fx.dir)), serialize(fx.original));
+  EXPECT_EQ(trace_bytes(trace::read_spool(fx.dir)), trace_bytes(fx.original));
 }
 
 #if P2PGEN_TEST_HAVE_UNISTD

@@ -26,7 +26,7 @@
 #include "obs/metrics.hpp"
 #include "obs/sidecars.hpp"
 #include "trace/spool.hpp"
-#include "trace/trace_io.hpp"
+#include "trace_bytes.hpp"
 
 namespace p2pgen {
 namespace {
@@ -276,12 +276,6 @@ behavior::TraceSimulationConfig timeline_test_config() {
   return config;
 }
 
-std::string serialize(const trace::Trace& trace) {
-  std::ostringstream os;
-  trace::write_binary(trace, os);
-  return os.str();
-}
-
 /// Every timeline.* counter and gauge — the derived-aggregate surface.
 std::map<std::string, std::int64_t> timeline_aggregates(
     const obs::MetricsSnapshot& snapshot) {
@@ -335,19 +329,19 @@ TEST(TimelineContract, RecordingNeverPerturbsTraceOrConfigDigest) {
   config.timeline.tick_seconds = 0.0;
   const std::uint64_t digest_off = behavior::simulation_config_digest(config);
   const std::string without =
-      serialize(behavior::simulate_trace_sharded(model, config, 2, 2));
+      trace_bytes(behavior::simulate_trace_sharded(model, config, 2, 2));
 
   config.timeline.tick_seconds = 120.0;
   EXPECT_EQ(behavior::simulation_config_digest(config), digest_off);
   const std::string with =
-      serialize(behavior::simulate_trace_sharded(model, config, 2, 2));
+      trace_bytes(behavior::simulate_trace_sharded(model, config, 2, 2));
   ASSERT_FALSE(without.empty());
   EXPECT_EQ(without, with);
 
   config.timeline.tick_seconds = 7.5;  // a pathological tick, same trace
   EXPECT_EQ(behavior::simulation_config_digest(config), digest_off);
   const std::string odd =
-      serialize(behavior::simulate_trace_sharded(model, config, 2, 2));
+      trace_bytes(behavior::simulate_trace_sharded(model, config, 2, 2));
   EXPECT_EQ(without, odd);
 }
 
